@@ -51,8 +51,7 @@ type t = {
   mutable region_acc : float ref;
   mutable region_name : string;  (* name region_acc accumulates into *)
   regions : (string, float ref) Hashtbl.t;  (* region -> elapsed ns *)
-  mutable kernels : (unit -> unit) array option;  (* fast engine, lazy *)
-  mutable skernels : (unit -> unit) array option;  (* sharded engine, lazy *)
+  mutable kernels : (unit -> unit) array option;  (* for [engine], lazy *)
   mutable native : native_code;  (* native engine, lazy *)
   mutable steam : Shard.team option;  (* borrowed for the current exec *)
   mutable icount : int;  (* executed instruction serial, both engines *)
@@ -132,7 +131,6 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     region_name = "(startup)";
     regions;
     kernels = None;
-    skernels = None;
     native = NUnknown;
     steam = None;
     icount = 0;
@@ -558,10 +556,12 @@ let exec_pnews m dst src axis delta =
   check_on_current m src "pnews";
   let g = cur_geom m in
   let mask = Context.active (cur_ctx m) in
+  let hi = Geometry.size g in
   (try
      match field_data m dst, field_data m src with
-     | FInt d, FInt s -> ignore (News.shift_masked g ~axis ~delta ~mask s d)
-     | FFloat d, FFloat s -> ignore (News.shift_masked g ~axis ~delta ~mask s d)
+     | FInt d, FInt s -> News.shift_masked g ~axis ~delta ~mask ~lo:0 ~hi s d
+     | FFloat d, FFloat s ->
+         News.shift_masked g ~axis ~delta ~mask ~lo:0 ~hi s d
      | _ -> error "pnews: kind mismatch between f%d and f%d" dst src
    with Invalid_argument msg -> error "pnews: %s" msg);
   Cost.charge_news m.meter ~size:(cur_size m)
@@ -926,22 +926,31 @@ let run_reference ?steps m =
     if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
   done
 
-(* ---- fast engine: pre-decoded instruction kernels ---- *)
+(* ---- kernel engines: pre-decoded, chunk-parameterised kernels ---- *)
 
 (* [compile] translates the program once into an array of closures, one
    per instruction, with operand shapes, field kinds, VP-set ids, label
    targets and geometry constants resolved at decode time.  The run loop
    is then [kernels.(pc) ()] over monomorphic int/float array loops.
 
+   Every elementwise kernel runs its loop over a chunk layout of its VP
+   set (see Shard): the fast and native engines decode with one chunk
+   [0, nv) per set, [`Sharded n] with [n] chunks that fan out to a
+   borrowed team of worker domains.  One decoder and one body per
+   instruction serve all three; an instruction that must stay serial
+   runs the same body over the one-chunk layout.
+
    The invariant (enforced by test/test_engine.ml) is bit-identical
-   observable behaviour with [run_reference]: same register, field and
-   output contents, same statistics and simulated nanoseconds, same
-   error messages, same LCG stream, including the exact order of
-   per-element effects (router deliveries, rand draws, partial writes
-   before a mid-loop fault).  Errors the reference discovers while
-   executing (bad operator for a kind, operand kind mismatch, ...) are
-   deferred here into lazy values forced at the same point of the
-   kernel, after the same checks and charges. *)
+   observable behaviour with [run_reference], at every chunk count: same
+   register, field and output contents, same statistics and simulated
+   nanoseconds, same error messages, same LCG stream, including the
+   exact order of per-element effects (router deliveries, rand draws,
+   partial writes before a mid-loop fault).  Errors the reference
+   discovers while executing (bad operator for a kind, operand kind
+   mismatch, ...) are deferred here into lazy values forced at the same
+   point of the kernel, after the same checks and charges.  Operand
+   resolution, checks, charges and faults all happen on the main domain
+   before any chunk runs; chunk bodies only write their own [lo, hi). *)
 
 (* A parallel operand resolves once per execution (registers are read at
    execution time) to one of these shapes; the loops specialize on them. *)
@@ -959,9 +968,8 @@ let fget r p =
 (* Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
    hi <= nv where nv is the VP-set size, and decode only admits field
    arrays of exactly that length, so the unsafe accesses are in bounds
-   by construction.  The fast engine passes the whole range [0, nv);
-   the sharded engine passes one chunk per call, with disjoint chunks
-   covering [0, nv), so the union of the writes is identical. *)
+   by construction.  Chunks are disjoint and cover [0, nv), so the union
+   of the writes does not depend on the layout. *)
 
 let mov_int ctx lo hi (out : int array) r =
   if Context.all_active ctx then
@@ -1119,8 +1127,6 @@ let sel_float ctx lo hi (out : float array) rc ra rb =
         Array.unsafe_set out p (if sel_test rc p then fget ra p else fget rb p)
     done
 
-(* Ranged coordinate fill (Pcoord's loop body, shared with the sharded
-   engine). *)
 let coord_loop ctx lo hi (out : int array) ~stride ~extent =
   if Context.all_active ctx then
     for p = lo to hi - 1 do
@@ -1133,7 +1139,6 @@ let coord_loop ctx lo hi (out : int array) ~stride ~extent =
         Array.unsafe_set out p (p / stride mod extent)
     done
 
-(* Ranged context read (Cread's loop body). *)
 let cread_loop ctx lo hi (out : int array) =
   if Context.all_active ctx then Array.fill out lo (hi - lo) 1
   else begin
@@ -1142,6 +1147,49 @@ let cread_loop ctx lo hi (out : int array) =
       Array.unsafe_set out p (if Array.unsafe_get mask p then 1 else 0)
     done
   end
+
+(* Ranged left folds of [f] from [acc] over the active elements, in
+   ascending order (Preduce's chunk body). *)
+let fold_int ctx lo hi (f : int -> int -> int) acc (a : int array) =
+  let acc = ref acc in
+  (if Context.all_active ctx then
+     for p = lo to hi - 1 do acc := f !acc (Array.unsafe_get a p) done
+   else
+     let mask = Context.active ctx in
+     for p = lo to hi - 1 do
+       if Array.unsafe_get mask p then acc := f !acc (Array.unsafe_get a p)
+     done);
+  !acc
+
+let fold_float ctx lo hi (f : float -> float -> float) acc (a : float array) =
+  let acc = ref acc in
+  (if Context.all_active ctx then
+     for p = lo to hi - 1 do acc := f !acc (Array.unsafe_get a p) done
+   else
+     let mask = Context.active ctx in
+     for p = lo to hi - 1 do
+       if Array.unsafe_get mask p then acc := f !acc (Array.unsafe_get a p)
+     done);
+  !acc
+
+(* The first active element of [lo, hi), else [none] (Preduce Any). *)
+let first_active ctx lo hi a none =
+  if Context.all_active ctx then if lo < hi then a.(lo) else none
+  else
+    let mask = Context.active ctx in
+    let rec go p =
+      if p >= hi then none else if mask.(p) then a.(p) else go (p + 1)
+    in
+    go lo
+
+(* Run [chunk lo hi] over every chunk into [partials] and combine them in
+   ascending chunk order with [f].  With one chunk this is exactly the
+   serial fold. *)
+let reduce_chunks run partials chunk f =
+  run (fun c lo hi -> Array.unsafe_set partials c (chunk lo hi));
+  let acc = ref partials.(0) in
+  for c = 1 to Array.length partials - 1 do acc := f !acc partials.(c) done;
+  !acc
 
 (* Resolvers for parallel operands.  Decode-time facts (field identity,
    kind, VP set) are burned in; register contents are read per execution.
@@ -1194,21 +1242,73 @@ let static_is_float m = function
       match field_data m f with FFloat _ -> Some true | FInt _ -> Some false)
   | Reg _ -> None
 
+(* VP sets at least this large fan a multi-chunk layout out to the worker
+   team; smaller sets run the same chunks inline on the main domain.
+   Either way the chunk layout alone determines the results (see Shard),
+   so the threshold is a pure scheduling knob. *)
+let shard_fanout_threshold = 2048
+
+(* Whether an int Pbin can fault mid-loop.  The reference semantics
+   leave the partial writes of every element before the faulting one in
+   place, which only a serial ascending sweep reproduces — so division,
+   modulo and shifts run over one chunk unless the right operand is an
+   immediate that provably never faults. *)
+let int_op_total op b =
+  match op with
+  | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor | Bxor | Eq | Ne
+  | Lt | Le | Gt | Ge ->
+      true
+  | Div | Mod -> ( match b with Imm (SInt k) -> k <> 0 | _ -> false)
+  | Shl | Shr -> (
+      match b with
+      | Imm (SInt k) -> k >= 0 && k < Sys.int_size
+      | _ -> false)
+  | Any -> false
+
+(* Int reductions whose (operator, identity) pair is an exact monoid on
+   OCaml ints: per-chunk partial folds combined in ascending chunk order
+   reproduce the serial left fold bit-for-bit (63-bit wraparound
+   arithmetic is exactly associative; min/max are idempotent, so the
+   extra per-chunk identity seeds are absorbed; land/lor collapse to the
+   same all/any-nonzero answer under any bracketing).  Floats are NOT
+   here: float addition is not associative, so float reductions run over
+   one chunk. *)
+let int_reduce_exact = function
+  | Add | Mul | Min | Max | Band | Bor | Bxor | Land | Lor -> true
+  | _ -> false
+
 (* Replicates [check_on_current] for a statically known field/VP pair. *)
-let kcheck_cur m vp what f =
+let check_cur m vp what f =
   if m.cur <> vp then
     if m.cur < 0 then error "no VP set selected (missing Cwith)"
     else error "%s: field f%d is not on the current VP set vp%d" what f m.cur
 
 (* Static facts about a parallel destination/source field. *)
-let kpfield m f =
+let pfield m f =
   let vp = field_vpset m f in
   (vp, Geometry.size m.prog.geoms.(vp), m.contexts.(vp), field_data m f)
 
-let decode m code_len instr : unit -> unit =
+(* [decode m layouts] builds one instruction's kernel; [layouts.(vp)] is
+   the chunk layout of VP set [vp]. *)
+let decode m layouts code_len instr : unit -> unit =
   let meter = m.meter in
-  let check_cur vp what f = kcheck_cur m vp what f in
-  let pfield f = kpfield m f in
+  let check_cur = check_cur m and pfield = pfield m in
+  (* [chunks split vp nv] runs [body c lo hi] over every chunk [c] of
+     [vp]'s layout when the instruction may split, else over the one
+     chunk [0, nv) inline — the serial path, with the same body.  The
+     team is read when the kernel runs: a machine borrows it per exec. *)
+  let chunks split vp nv : (int -> int -> int -> unit) -> unit =
+    let layout = if split then layouts.(vp) else [| (0, nv) |] in
+    let nch = Array.length layout in
+    if nch = 1 then
+      let lo, hi = layout.(0) in
+      fun body -> body 0 lo hi
+    else if nv >= shard_fanout_threshold then fun body ->
+      Shard.run m.steam nch (fun c ->
+          let lo, hi = layout.(c) in
+          body c lo hi)
+    else fun body -> Array.iteri (fun c (lo, hi) -> body c lo hi) layout
+  in
   let dec_fe op =
     match op with
     | Reg r -> fun () -> m.regs.(r)
@@ -1322,23 +1422,27 @@ let decode m code_len instr : unit -> unit =
         end
   | Pmov (dst, a) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let run = chunks true vp nv in
       match fd with
       | FInt out ->
           let ga = dec_int m vp a in
           fun () ->
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
-            mov_int ctx 0 nv out (ga ())
+            let r = ga () in
+            run (fun _ lo hi -> mov_int ctx lo hi out r)
       | FFloat out ->
           let ga = dec_float m vp a in
           fun () ->
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
-            mov_float ctx 0 nv out (ga ()))
+            let r = ga () in
+            run (fun _ lo hi -> mov_float ctx lo hi out r))
   | Pbin (op, dst, a, b) -> (
       let vp, nv, ctx, fd = pfield dst in
       match fd with
       | FFloat out ->
+          let run = chunks true vp nv in
           let lop = lazy (float_binop op) in
           let ga = dec_float m vp a and gb = dec_float m vp b in
           fun () ->
@@ -1347,8 +1451,9 @@ let decode m code_len instr : unit -> unit =
             let f = Lazy.force lop in
             let ra = ga () in
             let rb = gb () in
-            bin_float ctx 0 nv out f ra rb
+            run (fun _ lo hi -> bin_float ctx lo hi out f ra rb)
       | FInt out ->
+          let run = chunks (int_op_total op b) vp nv in
           if is_cmp op then begin
             (* float compare if either operand is float-kinded; decided
                statically unless a register is involved *)
@@ -1368,12 +1473,12 @@ let decode m code_len instr : unit -> unit =
               if floatness () then begin
                 let ra = fa () in
                 let rb = fb () in
-                cmp_float ctx 0 nv out cmp ra rb
+                run (fun _ lo hi -> cmp_float ctx lo hi out cmp ra rb)
               end
               else begin
                 let ra = ia () in
                 let rb = ib () in
-                bin_int ctx 0 nv out iop ra rb
+                run (fun _ lo hi -> bin_int ctx lo hi out iop ra rb)
               end
           end
           else
@@ -1385,16 +1490,18 @@ let decode m code_len instr : unit -> unit =
               let f = Lazy.force lop in
               let ra = ia () in
               let rb = ib () in
-              bin_int ctx 0 nv out f ra rb)
+              run (fun _ lo hi -> bin_int ctx lo hi out f ra rb))
   | Punop (op, dst, a) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let run = chunks true vp nv in
       match fd, op with
       | FInt out, ToInt ->
           let ga = dec_float m vp a in
           fun () ->
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
-            toint_loop ctx 0 nv out (ga ())
+            let r = ga () in
+            run (fun _ lo hi -> toint_loop ctx lo hi out r)
       | FInt out, _ ->
           let ga = dec_int m vp a in
           let lop =
@@ -1413,7 +1520,7 @@ let decode m code_len instr : unit -> unit =
             (* reference order: operand first, then the operator check *)
             let ra = ga () in
             let f = Lazy.force lop in
-            un_int ctx 0 nv out f ra
+            run (fun _ lo hi -> un_int ctx lo hi out f ra)
       | FFloat out, _ ->
           let ga = dec_float m vp a in
           let lop =
@@ -1429,53 +1536,43 @@ let decode m code_len instr : unit -> unit =
             Cost.charge_pe meter ~size:nv;
             let ra = ga () in
             let f = Lazy.force lop in
-            un_float ctx 0 nv out f ra)
+            run (fun _ lo hi -> un_float ctx lo hi out f ra))
   | Pcoord (dst, axis) -> (
       let vp, nv, ctx, fd = pfield dst in
       let g = m.prog.geoms.(vp) in
       let axis_ok = axis >= 0 && axis < Geometry.rank g in
       let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
       let extent = if axis_ok then Geometry.dim g axis else 1 in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            coord_loop ctx 0 nv out ~stride ~extent
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            error "pcoord into a float field")
+      let run = chunks true vp nv in
+      fun () ->
+        check_cur vp "pcoord" dst;
+        if not axis_ok then error "pcoord: bad axis %d" axis;
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out ->
+            run (fun _ lo hi -> coord_loop ctx lo hi out ~stride ~extent)
+        | FFloat _ -> error "pcoord into a float field")
   | Ptable (dst, table) -> (
       let vp, nv, _, fd = pfield dst in
       let len_ok = Array.length table = nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "ptable" dst;
-            if not len_ok then
-              error "ptable: table length does not match the VP set";
-            Cost.charge_pe meter ~size:nv;
-            Array.blit table 0 out 0 nv
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "ptable" dst;
-            if not len_ok then
-              error "ptable: table length does not match the VP set";
-            Cost.charge_pe meter ~size:nv;
-            error "ptable into a float field")
+      fun () ->
+        check_cur vp "ptable" dst;
+        if not len_ok then
+          error "ptable: table length does not match the VP set";
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out -> Array.blit table 0 out 0 nv
+        | FFloat _ -> error "ptable into a float field")
   | Prand (dst, modulus) -> (
+      (* one LCG stream in element order: never split *)
       let vp, nv, ctx, fd = pfield dst in
       let gm = dec_fe modulus in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "prand" dst;
-            let modv = to_int (gm ()) in
-            Cost.charge_pe meter ~size:nv;
+      fun () ->
+        check_cur vp "prand" dst;
+        let modv = to_int (gm ()) in
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out ->
             if Context.all_active ctx then
               for p = 0 to nv - 1 do
                 Array.unsafe_set out p (rand_mod m modv)
@@ -1486,14 +1583,10 @@ let decode m code_len instr : unit -> unit =
                 if Array.unsafe_get mask p then
                   Array.unsafe_set out p (rand_mod m modv)
               done
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "prand" dst;
-            let _ = to_int (gm ()) in
-            Cost.charge_pe meter ~size:nv;
-            error "prand into a float field")
+        | FFloat _ -> error "prand into a float field")
   | Psel (dst, c, a, b) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let run = chunks true vp nv in
       let gc = dec_float m vp c in
       match fd with
       | FInt out ->
@@ -1504,7 +1597,7 @@ let decode m code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            sel_int ctx 0 nv out rc ra rb
+            run (fun _ lo hi -> sel_int ctx lo hi out rc ra rb)
       | FFloat out ->
           let ga = dec_float m vp a and gb = dec_float m vp b in
           fun () ->
@@ -1513,7 +1606,7 @@ let decode m code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            sel_float ctx 0 nv out rc ra rb)
+            run (fun _ lo hi -> sel_float ctx lo hi out rc ra rb))
   | Pget (dst, src, addr) ->
       let vp, nv, ctx, fd_dst = pfield dst in
       let fd_src = field_data m src in
@@ -1571,95 +1664,73 @@ let decode m code_len instr : unit -> unit =
       let vp_src = field_vpset m src in
       let fd_src = field_data m src in
       let g = m.prog.geoms.(vp) in
+      (* distinct fields are distinct arrays, so per-chunk destination
+         writes never race with the reads across chunk boundaries; an
+         in-place shift reads what it wrote and stays one chunk *)
+      let run = chunks (dst <> src) vp nv in
       fun () ->
         check_cur vp "pnews" dst;
         check_cur vp_src "pnews" src;
+        let shift s d =
+          if Context.all_active ctx then
+            run (fun _ lo hi -> News.shift g ~axis ~delta ~lo ~hi s d)
+          else
+            let mask = Context.active ctx in
+            run (fun _ lo hi ->
+                News.shift_masked g ~axis ~delta ~mask ~lo ~hi s d)
+        in
         (try
            match fd_dst, fd_src with
-           | FInt d, FInt s ->
-               if Context.all_active ctx then
-                 ignore (News.shift g ~axis ~delta s d)
-               else
-                 ignore
-                   (News.shift_masked g ~axis ~delta
-                      ~mask:(Context.active ctx) s d)
-           | FFloat d, FFloat s ->
-               if Context.all_active ctx then
-                 ignore (News.shift g ~axis ~delta s d)
-               else
-                 ignore
-                   (News.shift_masked g ~axis ~delta
-                      ~mask:(Context.active ctx) s d)
+           | FInt d, FInt s -> shift s d
+           | FFloat d, FFloat s -> shift s d
            | _ -> error "pnews: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "pnews: %s" msg);
         Cost.charge_news meter ~size:nv
   | Preduce (op, r, fld) -> (
       let vp, nv, ctx, fd = pfield fld in
+      (* the reference evaluates the identity before the operator
+         (right-to-left application), so keep that fault order; Any
+         takes the first active element and needs neither *)
       match fd with
       | FInt a ->
-          if op = Any then
-            fun () ->
-              begin
-                check_cur vp "preduce" fld;
-                Cost.charge_reduce meter ~size:nv;
-                let v =
-                  if Context.all_active ctx && nv > 0 then a.(0)
-                  else reduce_any (Context.active ctx) (Array.get a) nv Paris.inf_int
-                in
-                m.regs.(r) <- SInt v
-              end
-          else
-            (* the reference evaluates the identity before the operator
-               (right-to-left application), so keep that fault order *)
-            let lident = lazy (to_int (identity op KInt)) in
-            let lop = lazy (int_binop op) in
-            fun () ->
-              check_cur vp "preduce" fld;
-              Cost.charge_reduce meter ~size:nv;
-              let ident = Lazy.force lident in
-              let f = Lazy.force lop in
-              let v =
-                if Context.all_active ctx then begin
-                  let acc = ref ident in
-                  for p = 0 to nv - 1 do
-                    acc := f !acc (Array.unsafe_get a p)
-                  done;
-                  !acc
-                end
-                else Scan.masked_reduce f ident (Context.active ctx) a
-              in
-              m.regs.(r) <- SInt v
+          let split = int_reduce_exact op in
+          let run = chunks split vp nv in
+          let partials =
+            Array.make (if split then Array.length layouts.(vp) else 1) 0
+          in
+          let lred =
+            lazy
+              (if op = Any then
+                 ( (fun lo hi -> first_active ctx lo hi a Paris.inf_int),
+                   fun x _ -> x )
+               else
+                 let ident = to_int (identity op KInt) in
+                 let f = int_binop op in
+                 ((fun lo hi -> fold_int ctx lo hi f ident a), f))
+          in
+          fun () ->
+            check_cur vp "preduce" fld;
+            Cost.charge_reduce meter ~size:nv;
+            let chunk, f = Lazy.force lred in
+            m.regs.(r) <- SInt (reduce_chunks run partials chunk f)
       | FFloat a ->
-          if op = Any then
-            fun () ->
-              begin
-                check_cur vp "preduce" fld;
-                Cost.charge_reduce meter ~size:nv;
-                let v =
-                  if Context.all_active ctx && nv > 0 then a.(0)
-                  else reduce_any (Context.active ctx) (Array.get a) nv infinity
-                in
-                m.regs.(r) <- SFloat v
-              end
-          else
-            let lident = lazy (to_float (identity op KFloat)) in
-            let lop = lazy (float_binop op) in
-            fun () ->
-              check_cur vp "preduce" fld;
-              Cost.charge_reduce meter ~size:nv;
-              let ident = Lazy.force lident in
-              let f = Lazy.force lop in
-              let v =
-                if Context.all_active ctx then begin
-                  let acc = ref ident in
-                  for p = 0 to nv - 1 do
-                    acc := f !acc (Array.unsafe_get a p)
-                  done;
-                  !acc
-                end
-                else Scan.masked_reduce f ident (Context.active ctx) a
-              in
-              m.regs.(r) <- SFloat v)
+          let run = chunks false vp nv in
+          let partials = [| 0.0 |] in
+          let lred =
+            lazy
+              (if op = Any then
+                 ( (fun lo hi -> first_active ctx lo hi a infinity),
+                   fun x _ -> x )
+               else
+                 let ident = to_float (identity op KFloat) in
+                 let f = float_binop op in
+                 ((fun lo hi -> fold_float ctx lo hi f ident a), f))
+          in
+          fun () ->
+            check_cur vp "preduce" fld;
+            Cost.charge_reduce meter ~size:nv;
+            let chunk, f = Lazy.force lred in
+            m.regs.(r) <- SFloat (reduce_chunks run partials chunk f))
   | Pcount r ->
       fun () ->
         Cost.charge_reduce meter ~size:(cur_size m);
@@ -1750,386 +1821,21 @@ let decode m code_len instr : unit -> unit =
       fun () ->
         Cost.charge_context meter ~size:(cur_size m);
         Context.reset (cur_ctx m)
-  | Cread fld -> (
+  | Cread fld ->
       let vp, nv, ctx, fd = pfield fld in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            cread_loop ctx 0 nv out
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            error "cread into a float field")
+      let run = chunks true vp nv in
+      fun () ->
+        check_cur vp "cread" fld;
+        Cost.charge_context meter ~size:nv;
+        (match fd with
+        | FInt out -> run (fun _ lo hi -> cread_loop ctx lo hi out)
+        | FFloat _ -> error "cread into a float field")
 
 let compile m =
-  match m.kernels with
-  | Some _ -> ()
-  | None ->
-      Obs.with_span m.obs "cm.decode" (fun () ->
-          let code = m.prog.code in
-          let n = Array.length code in
-          m.kernels <-
-            Some
-              (Array.init n (fun i ->
-                   (* a decode-time fault (e.g. an out-of-range field id in a
-                      malformed program) becomes a kernel that re-raises it
-                      when that instruction is reached *)
-                   try decode m n code.(i)
-                   with e -> fun () -> raise e)))
-
-let run_fast ?steps m =
-  compile m;
-  let kernels = match m.kernels with Some k -> k | None -> assert false in
-  let n = Array.length kernels in
-  let meter = m.meter in
-  let code = m.prog.code in
-  let budget = ref (match steps with None -> max_int | Some s -> s) in
-  while m.pc < n && !budget > 0 do
-    if m.fuel <= 0 then error "fuel exhausted (non-terminating program?)";
-    let i = m.pc in
-    inject m (Array.unsafe_get code i);
-    m.fuel <- m.fuel - 1;
-    m.icount <- m.icount + 1;
-    m.pc <- m.pc + 1;
-    decr budget;
-    let t0 = meter.Cost.elapsed_ns in
-    (Array.unsafe_get kernels i) ();
-    let dt = meter.Cost.elapsed_ns -. t0 in
-    if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
-  done
-
-(* ---- sharded engine: SPMD execution of the pre-decoded stream ---- *)
-
-(* VP sets at least this large fan their chunks out to the worker team;
-   smaller sets run the same chunks inline on the main domain.  Either
-   way the chunk layout alone determines the results (see Shard), so the
-   threshold is a pure scheduling knob. *)
-let shard_fanout_threshold = 2048
-
-(* Whether an int Pbin can fault mid-loop.  The reference semantics
-   leave the partial writes of every element before the faulting one in
-   place, which only a serial ascending sweep reproduces — so division,
-   modulo and shifts stay serial unless the right operand is an
-   immediate that provably never faults. *)
-let int_op_total op b =
-  match op with
-  | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor | Bxor | Eq | Ne
-  | Lt | Le | Gt | Ge ->
-      true
-  | Div | Mod -> ( match b with Imm (SInt k) -> k <> 0 | _ -> false)
-  | Shl | Shr -> (
-      match b with
-      | Imm (SInt k) -> k >= 0 && k < Sys.int_size
-      | _ -> false)
-  | Any -> false
-
-(* Int reductions whose (operator, identity) pair is an exact monoid on
-   OCaml ints: per-chunk partial folds combined in ascending chunk order
-   reproduce the serial left fold bit-for-bit (63-bit wraparound
-   arithmetic is exactly associative; min/max are idempotent, so the
-   extra per-chunk identity seeds are absorbed; land/lor collapse to the
-   same all/any-nonzero answer under any bracketing).  Floats are NOT
-   here: float addition is not associative, so float reductions stay
-   serial. *)
-let int_reduce_exact = function
-  | Add | Mul | Min | Max | Band | Bor | Bxor | Land | Lor -> true
-  | _ -> false
-
-(* Decode one instruction for the sharded engine.  Local (elementwise)
-   kernels resolve operands and take their checks, charges and faults on
-   the main domain in exactly the fast engine's order, then fan the
-   write loop out over the VP set's chunks; edge kernels (NEWS) fan out
-   per-chunk destination segments; everything order-sensitive falls back
-   to the fast engine's serial kernel ([decode]), executed wholly on the
-   main domain between fan-outs — the barrier the CM's global ops imply. *)
-let decode_sharded m layouts code_len instr : unit -> unit =
-  let meter = m.meter in
-  let serial () = decode m code_len instr in
-  let chunked vp nv =
-    let layout = layouts.(vp) in
-    let nch = Array.length layout in
-    let fan_out = nv >= shard_fanout_threshold in
-    let run body =
-      if fan_out then Shard.run m.steam nch body
-      else for c = 0 to nch - 1 do body c done
-    in
-    (layout, nch, run)
-  in
-  match instr with
-  | Pmov (dst, a) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          let ga = dec_int m vp a in
-          fun () ->
-            kcheck_cur m vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_int ctx lo hi out r)
-      | FFloat out ->
-          let ga = dec_float m vp a in
-          fun () ->
-            kcheck_cur m vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_float ctx lo hi out r))
-  | Pbin (op, dst, a, b) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FFloat out ->
-          let lop = lazy (float_binop op) in
-          let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            kcheck_cur m vp "pbin" dst;
-            Cost.charge_pe meter ~size:nv;
-            let f = Lazy.force lop in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                bin_float ctx lo hi out f ra rb)
-      | FInt out ->
-          if is_cmp op then begin
-            let cmp = float_cmp op in
-            let iop = int_binop op in
-            let fa = dec_float m vp a and fb = dec_float m vp b in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            let floatness =
-              match static_is_float m a, static_is_float m b with
-              | Some true, _ | _, Some true -> fun () -> true
-              | Some false, Some false -> fun () -> false
-              | _ -> fun () -> operand_is_float m a || operand_is_float m b
-            in
-            fun () ->
-              kcheck_cur m vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
-              if floatness () then begin
-                let ra = fa () in
-                let rb = fb () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    cmp_float ctx lo hi out cmp ra rb)
-              end
-              else begin
-                let ra = ia () in
-                let rb = ib () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    bin_int ctx lo hi out iop ra rb)
-              end
-          end
-          else if int_op_total op b then
-            let lop = lazy (int_binop op) in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            fun () ->
-              kcheck_cur m vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
-              let f = Lazy.force lop in
-              let ra = ia () in
-              let rb = ib () in
-              run (fun c ->
-                  let lo, hi = layout.(c) in
-                  bin_int ctx lo hi out f ra rb)
-          else serial ())
-  | Punop (op, dst, a) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd, op with
-      | FInt out, ToInt ->
-          let ga = dec_float m vp a in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                toint_loop ctx lo hi out r)
-      | FInt out, _ ->
-          let ga = dec_int m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> fun x -> -x
-              | Lnot -> fun x -> if x = 0 then 1 else 0
-              | Bnot -> lnot
-              | Abs -> abs
-              | ToInt -> assert false
-              | ToFloat -> error "tofloat into an int field")
-          in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_int ctx lo hi out f ra)
-      | FFloat out, _ ->
-          let ga = dec_float m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> ( ~-. )
-              | Abs -> Float.abs
-              | ToFloat -> fun x -> x
-              | Lnot | Bnot | ToInt -> error "integer unop into a float field")
-          in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_float ctx lo hi out f ra))
-  | Pcoord (dst, axis) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let g = m.prog.geoms.(vp) in
-      let axis_ok = axis >= 0 && axis < Geometry.rank g in
-      let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
-      let extent = if axis_ok then Geometry.dim g axis else 1 in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            kcheck_cur m vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                coord_loop ctx lo hi out ~stride ~extent)
-      | FFloat _ -> serial ())
-  | Psel (dst, cnd, a, b) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      let gc = dec_float m vp cnd in
-      match fd with
-      | FInt out ->
-          let ga = dec_int m vp a and gb = dec_int m vp b in
-          fun () ->
-            kcheck_cur m vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_int ctx lo hi out rc ra rb)
-      | FFloat out ->
-          let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            kcheck_cur m vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_float ctx lo hi out rc ra rb))
-  | Pnews (dst, src, axis, delta) when dst <> src -> (
-      let vp, nv, ctx, fd_dst = kpfield m dst in
-      let vp_src = field_vpset m src in
-      let fd_src = field_data m src in
-      let g = m.prog.geoms.(vp) in
-      let axis_ok = axis >= 0 && axis < Geometry.rank g in
-      let layout, _, run = chunked vp nv in
-      let kinds_ok =
-        match fd_dst, fd_src with
-        | FInt _, FInt _ | FFloat _, FFloat _ -> true
-        | _ -> false
-      in
-      if vp_src = vp && axis_ok && kinds_ok then
-        fun () ->
-          kcheck_cur m vp "pnews" dst;
-          kcheck_cur m vp "pnews" src;
-          (* distinct field ids are distinct arrays, so per-chunk
-             destination writes never race with the shared reads *)
-          (if Context.all_active ctx then
-             run (fun c ->
-                 let lo, hi = layout.(c) in
-                 match fd_dst, fd_src with
-                 | FInt d, FInt s -> News.shift_sub g ~axis ~delta ~lo ~hi s d
-                 | FFloat d, FFloat s ->
-                     News.shift_sub g ~axis ~delta ~lo ~hi s d
-                 | _ -> assert false)
-           else
-             let mask = Context.active ctx in
-             run (fun c ->
-                 let lo, hi = layout.(c) in
-                 match fd_dst, fd_src with
-                 | FInt d, FInt s ->
-                     News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d
-                 | FFloat d, FFloat s ->
-                     News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d
-                 | _ -> assert false));
-          Cost.charge_news meter ~size:nv
-      else serial ())
-  | Preduce (op, r, fld) when int_reduce_exact op -> (
-      let vp, nv, ctx, fd = kpfield m fld in
-      match fd with
-      | FInt a ->
-          let layout, nch, run = chunked vp nv in
-          let lident = lazy (to_int (identity op KInt)) in
-          let lop = lazy (int_binop op) in
-          (* reused across executions; the join edge orders the worker
-             writes before the main-domain combine *)
-          let partials = Array.make nch 0 in
-          fun () ->
-            kcheck_cur m vp "preduce" fld;
-            Cost.charge_reduce meter ~size:nv;
-            let ident = Lazy.force lident in
-            let f = Lazy.force lop in
-            (if Context.all_active ctx then
-               run (fun c ->
-                   let lo, hi = layout.(c) in
-                   let acc = ref ident in
-                   for p = lo to hi - 1 do
-                     acc := f !acc (Array.unsafe_get a p)
-                   done;
-                   Array.unsafe_set partials c !acc)
-             else
-               let mask = Context.active ctx in
-               run (fun c ->
-                   let lo, hi = layout.(c) in
-                   let acc = ref ident in
-                   for p = lo to hi - 1 do
-                     if Array.unsafe_get mask p then
-                       acc := f !acc (Array.unsafe_get a p)
-                   done;
-                   Array.unsafe_set partials c !acc));
-            let acc = ref ident in
-            for c = 0 to nch - 1 do
-              acc := f !acc (Array.unsafe_get partials c)
-            done;
-            m.regs.(r) <- SInt !acc
-      | FFloat _ -> serial ())
-  | Cread fld -> (
-      let vp, nv, ctx, fd = kpfield m fld in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            kcheck_cur m vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                cread_loop ctx lo hi out)
-      | FFloat _ -> serial ())
-  | _ -> serial ()
-
-let compile_sharded m shards =
-  match m.skernels with
-  | Some _ -> ()
-  | None ->
+  match m.engine, m.kernels with
+  | `Reference, _ | _, Some _ -> ()
+  | ((`Fast | `Native | `Sharded _) as engine), None ->
+      let shards = match engine with `Sharded n -> n | _ -> 1 in
       Obs.with_span m.obs "cm.decode" (fun () ->
           let code = m.prog.code in
           let n = Array.length code in
@@ -2138,14 +1844,21 @@ let compile_sharded m shards =
               (fun g -> Shard.layout ~shards (Geometry.size g))
               m.prog.geoms
           in
-          m.skernels <-
+          m.kernels <-
             Some
               (Array.init n (fun i ->
-                   try decode_sharded m layouts n code.(i)
+                   (* a decode-time fault (e.g. an out-of-range field id in a
+                      malformed program) becomes a kernel that re-raises it
+                      when that instruction is reached *)
+                   try decode m layouts n code.(i)
                    with e -> fun () -> raise e)))
 
-let run_sharded ?steps m =
-  let kernels = match m.skernels with Some k -> k | None -> assert false in
+(* The dispatch loop of the fast and sharded engines (and of native's
+   fallback): [kernels.(pc) ()] with the reference's fuel, fault and
+   region bookkeeping around it. *)
+let run_kernels ?steps m =
+  compile m;
+  let kernels = match m.kernels with Some k -> k | None -> assert false in
   let n = Array.length kernels in
   let meter = m.meter in
   let code = m.prog.code in
@@ -2209,8 +1922,9 @@ let effective_engine m =
   | e -> e
 
 let run_native ?steps m entry =
-  (* the fast kernels back every instruction the generated code does not
-     open-code, and bottle up decode-time errors exactly like run_fast *)
+  (* the one-chunk kernels back every instruction the generated code does
+     not open-code, and bottle up decode-time errors exactly like the
+     fast engine *)
   compile m;
   let kernels = match m.kernels with Some k -> k | None -> assert false in
   let ctx =
@@ -2272,22 +1986,22 @@ let run_native ?steps m entry =
 let exec ?steps m =
   match m.engine with
   | `Reference -> run_reference ?steps m
-  | `Fast -> run_fast ?steps m
+  | `Fast -> run_kernels ?steps m
   | `Native -> (
       match compile_native m with
       | Ok () -> (
           match m.native with
           | NReady e -> run_native ?steps m e
           | NUnknown | NFallback _ -> assert false)
-      | Error _ -> run_fast ?steps m)
+      | Error _ -> run_kernels ?steps m)
   | `Sharded shards ->
-      compile_sharded m shards;
+      compile m;
       m.steam <- Shard.Pool.borrow ~want:(shards - 1) ();
       Fun.protect
         ~finally:(fun () ->
           Shard.Pool.release m.steam;
           m.steam <- None)
-        (fun () -> run_sharded ?steps m)
+        (fun () -> run_kernels ?steps m)
 
 let run m = exec m
 
@@ -2478,7 +2192,6 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     region_name = ck.ck_region;
     regions;
     kernels = None;
-    skernels = None;
     native = NUnknown;
     steam = None;
     icount = ck.ck_icount;

@@ -13,16 +13,18 @@
       field kinds, VP-set checks, label targets and geometry constants
       resolved at decode time — and runs monomorphic int/float array
       loops, with branch-free fast paths when the activity context is
-      fully active.
-    - [`Sharded n] partitions each VP set's element range into [n]
-      contiguous chunks and executes the fast engine's kernels SPMD
-      across a team of worker domains (see {!Shard}): elementwise
-      kernels fan out with zero synchronization, NEWS shifts exchange
-      only per-chunk destination segments, and everything
-      order-sensitive (router traffic, scans, float reductions, the
-      random stream, faults) runs serially on the main domain between
-      fan-outs.  Results depend only on the logical chunk count, never
-      on how many worker domains happen to be available.
+      fully active.  Each loop runs over a chunk layout of its VP set;
+      the fast engine uses one chunk, the whole set.
+    - [`Sharded n] runs the same kernels over [n] contiguous chunks per
+      VP set, fanned out SPMD across a team of worker domains (see
+      {!Shard}): elementwise kernels fan out with zero synchronization,
+      NEWS shifts exchange only per-chunk destination segments, exact
+      int reductions combine per-chunk partials in chunk order, and
+      everything order-sensitive (router traffic, scans, float
+      reductions, ops that can fault mid-loop, in-place shifts, the
+      random stream, faults) runs over one chunk on the main domain
+      between fan-outs.  Results depend only on the logical chunk count,
+      never on how many worker domains happen to be available.
     - [`Native] compiles the program further: {!Codegen} emits a
       self-contained OCaml module from the IR — monomorphic loops over
       the field arrays, activity checks specialized per instruction,
@@ -83,9 +85,12 @@ val create :
 val program : t -> Paris.program
 val engine : t -> engine
 
-(** Pre-decode the program into instruction kernels (a no-op if already
-    compiled, or for the reference engine — [`Fast] {!run} compiles on
-    first use; calling [compile] beforehand just front-loads the work). *)
+(** Pre-decode the program into the kernels of the machine's engine —
+    one chunk per VP set for [`Fast] and [`Native] (whose generated code
+    calls back into them), [n] for [`Sharded n].  A no-op if already
+    compiled, and for [`Reference], which interprets the program
+    directly.  {!run} compiles on first use; calling [compile]
+    beforehand just front-loads the work. *)
 val compile : t -> unit
 
 (** Attempt native compilation for this machine (a no-op unless it is

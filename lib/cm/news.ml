@@ -8,109 +8,45 @@ let check g ~axis src dst =
 (* In row-major order the positions whose [axis] coordinate lies in
    [lo_c, hi_c] form, within each block of [stride * extent] elements,
    one contiguous segment of [nrows * stride] elements starting at
-   [lo_c * stride].  Both shift variants walk those segments in
-   ascending position order, exactly like the original per-element
-   [p / stride mod extent] loop but without the divisions. *)
-let bounds ~delta ~extent =
-  (max 0 (-delta), min (extent - 1) (extent - 1 - delta))
-
-let shift g ~axis ~delta src dst =
-  check g ~axis src dst;
+   [lo_c * stride].  [segments] calls [k s e off] for each such segment
+   clipped to the destination range [lo, hi), in ascending order; the
+   source of position [p] is [p + off].  Walking them in order is exactly
+   the per-element [p / stride mod extent] loop, without the divisions. *)
+let segments g ~axis ~delta ~lo ~hi k =
   let stride = (Geometry.strides g).(axis) in
   let extent = Geometry.dim g axis in
-  let total = Geometry.size g in
-  let lo_c, hi_c = bounds ~delta ~extent in
-  if lo_c > hi_c then 0
-  else begin
-    let block = stride * extent in
-    let off = delta * stride in
-    let seg = (hi_c - lo_c + 1) * stride in
-    let nblocks = total / block in
-    if src != dst || delta >= 0 then
-      (* Array.blit has copy (memmove) semantics; the ascending
-         reference loop shares them whenever it never reads a position
-         it already overwrote, i.e. for distinct arrays or a
-         non-negative delta. *)
-      for b = 0 to nblocks - 1 do
-        let start = (b * block) + (lo_c * stride) in
-        Array.blit src (start + off) dst start seg
-      done
-    else
-      (* src == dst with delta < 0: the reference loop reads positions
-         it has already written; keep its exact ascending order. *)
-      for b = 0 to nblocks - 1 do
-        let start = (b * block) + (lo_c * stride) in
-        for p = start to start + seg - 1 do
-          dst.(p) <- src.(p + off)
-        done
-      done;
-    nblocks * seg
-  end
-
-let shift_masked g ~axis ~delta ~mask src dst =
-  if Array.length mask <> Geometry.size g then
-    invalid_arg "News.shift_masked: mask size mismatch";
-  check g ~axis src dst;
-  let stride = (Geometry.strides g).(axis) in
-  let extent = Geometry.dim g axis in
-  let total = Geometry.size g in
-  let lo_c, hi_c = bounds ~delta ~extent in
-  if lo_c > hi_c then 0
-  else begin
-    let block = stride * extent in
-    let off = delta * stride in
-    let seg = (hi_c - lo_c + 1) * stride in
-    let updated = ref 0 in
-    for b = 0 to (total / block) - 1 do
-      let start = (b * block) + (lo_c * stride) in
-      for p = start to start + seg - 1 do
-        if mask.(p) then begin
-          dst.(p) <- src.(p + off);
-          incr updated
-        end
-      done
-    done;
-    !updated
-  end
-
-(* Range-restricted variants for the sharded engine: write only the
-   destination positions in [lo, hi).  The caller guarantees [src] and
-   [dst] are distinct arrays (the in-place descending case stays on the
-   serial path), so per-chunk writes are disjoint and blit copy
-   semantics are safe at any delta. *)
-
-let shift_sub g ~axis ~delta ~lo ~hi src dst =
-  check g ~axis src dst;
-  let stride = (Geometry.strides g).(axis) in
-  let extent = Geometry.dim g axis in
-  let lo_c, hi_c = bounds ~delta ~extent in
+  let lo_c = max 0 (-delta) and hi_c = min (extent - 1) (extent - 1 - delta) in
   if lo_c <= hi_c && lo < hi then begin
     let block = stride * extent in
-    let off = delta * stride in
     let seg = (hi_c - lo_c + 1) * stride in
     for b = lo / block to (hi - 1) / block do
       let start = (b * block) + (lo_c * stride) in
       let s = max start lo and e = min (start + seg) hi in
-      if s < e then Array.blit src (s + off) dst s (e - s)
+      if s < e then k s e (delta * stride)
     done
   end
 
-let shift_masked_sub g ~axis ~delta ~mask ~lo ~hi src dst =
+let shift g ~axis ~delta ~lo ~hi src dst =
+  check g ~axis src dst;
+  segments g ~axis ~delta ~lo ~hi (fun s e off ->
+      if src != dst || delta >= 0 then
+        (* Array.blit has copy (memmove) semantics; the ascending
+           reference loop shares them whenever it never reads a position
+           it already overwrote, i.e. for distinct arrays or a
+           non-negative delta. *)
+        Array.blit src (s + off) dst s (e - s)
+      else
+        (* src == dst with delta < 0: the reference loop reads positions
+           it has already written; keep its exact ascending order. *)
+        for p = s to e - 1 do
+          dst.(p) <- src.(p + off)
+        done)
+
+let shift_masked g ~axis ~delta ~mask ~lo ~hi src dst =
   if Array.length mask <> Geometry.size g then
     invalid_arg "News.shift_masked: mask size mismatch";
   check g ~axis src dst;
-  let stride = (Geometry.strides g).(axis) in
-  let extent = Geometry.dim g axis in
-  let lo_c, hi_c = bounds ~delta ~extent in
-  if lo_c <= hi_c && lo < hi then begin
-    let block = stride * extent in
-    let off = delta * stride in
-    let seg = (hi_c - lo_c + 1) * stride in
-    for b = lo / block to (hi - 1) / block do
-      let start = (b * block) + (lo_c * stride) in
-      let s = max start lo and e = min (start + seg) hi in
+  segments g ~axis ~delta ~lo ~hi (fun s e off ->
       for p = s to e - 1 do
         if mask.(p) then dst.(p) <- src.(p + off)
-      done
-    done
-  end
+      done)

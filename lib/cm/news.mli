@@ -8,40 +8,19 @@
     value (the code generator only emits NEWS ops under a context that
     masks such border positions). *)
 
-(** [shift g ~axis ~delta src dst] writes [dst.(p) <- src.(p with
-    coordinate[axis] incremented by delta)] for every in-range position.
-    Returns the number of positions updated.
+(** [shift g ~axis ~delta ~lo ~hi src dst] writes [dst.(p) <- src.(p
+    with coordinate[axis] incremented by delta)] for every in-range
+    destination position [p] in [\[lo, hi)]; the whole field is [~lo:0
+    ~hi:(Geometry.size g)].  Positions are written in ascending order,
+    so an in-place shift ([src == dst]) reads the values already written
+    below it.  Disjoint ranges of distinct arrays may run concurrently.
     @raise Invalid_argument on size/axis errors. *)
 val shift :
-  Geometry.t -> axis:int -> delta:int -> 'a array -> 'a array -> int
+  Geometry.t -> axis:int -> delta:int -> lo:int -> hi:int -> 'a array -> 'a array -> unit
 
 (** [shift_masked] is {!shift} restricted to positions where the
     destination mask is true. *)
 val shift_masked :
-  Geometry.t ->
-  axis:int ->
-  delta:int ->
-  mask:bool array ->
-  'a array ->
-  'a array ->
-  int
-
-(** [shift_sub] is {!shift} restricted to destination positions in
-    [\[lo, hi)], for the sharded engine's per-chunk execution.  [src]
-    and [dst] must be distinct arrays. *)
-val shift_sub :
-  Geometry.t ->
-  axis:int ->
-  delta:int ->
-  lo:int ->
-  hi:int ->
-  'a array ->
-  'a array ->
-  unit
-
-(** [shift_masked_sub] is {!shift_masked} restricted to destination
-    positions in [\[lo, hi)].  [src] and [dst] must be distinct. *)
-val shift_masked_sub :
   Geometry.t ->
   axis:int ->
   delta:int ->

@@ -122,34 +122,56 @@ let test_news_shift () =
   let g = Cm.Geometry.create [ 4 ] in
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| 0; 0; 0; 0 |] in
-  let n = Cm.News.shift g ~axis:0 ~delta:1 src dst in
-  check Alcotest.int "updated" 3 n;
+  Cm.News.shift g ~axis:0 ~delta:1 ~lo:0 ~hi:4 src dst;
   (* element 3 has no +1 neighbour: keeps its old value *)
-  check (Alcotest.array Alcotest.int) "shift +1" [| 20; 30; 40; 0 |] dst
+  check (Alcotest.array Alcotest.int) "shift +1" [| 20; 30; 40; 0 |] dst;
+  (* a sub-range writes only its own destinations *)
+  let dst = [| 0; 0; 0; 0 |] in
+  Cm.News.shift g ~axis:0 ~delta:1 ~lo:1 ~hi:3 src dst;
+  check (Alcotest.array Alcotest.int) "shift +1 on [1, 3)" [| 0; 30; 40; 0 |]
+    dst
 
 let test_news_shift_negative () =
   let g = Cm.Geometry.create [ 4 ] in
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| -1; -1; -1; -1 |] in
-  ignore (Cm.News.shift g ~axis:0 ~delta:(-1) src dst);
-  check (Alcotest.array Alcotest.int) "shift -1" [| -1; 10; 20; 30 |] dst
+  Cm.News.shift g ~axis:0 ~delta:(-1) ~lo:0 ~hi:4 src dst;
+  check (Alcotest.array Alcotest.int) "shift -1" [| -1; 10; 20; 30 |] dst;
+  (* in place, the ascending walk reads what it already wrote *)
+  let a = [| 10; 20; 30; 40 |] in
+  Cm.News.shift g ~axis:0 ~delta:(-1) ~lo:0 ~hi:4 a a;
+  check (Alcotest.array Alcotest.int) "in-place shift -1" [| 10; 10; 10; 10 |]
+    a
 
 let test_news_2d_axis () =
   let g = Cm.Geometry.create [ 2; 3 ] in
   let src = [| 1; 2; 3; 4; 5; 6 |] in
   let dst = Array.make 6 0 in
-  ignore (Cm.News.shift g ~axis:0 ~delta:1 src dst);
+  Cm.News.shift g ~axis:0 ~delta:1 ~lo:0 ~hi:6 src dst;
   (* row 0 receives row 1; row 1 keeps old *)
-  check (Alcotest.array Alcotest.int) "axis 0" [| 4; 5; 6; 0; 0; 0 |] dst
+  check (Alcotest.array Alcotest.int) "axis 0" [| 4; 5; 6; 0; 0; 0 |] dst;
+  (* a range cutting both axis-1 rows mid-segment *)
+  let dst = Array.make 6 0 in
+  Cm.News.shift g ~axis:1 ~delta:1 ~lo:1 ~hi:5 src dst;
+  check (Alcotest.array Alcotest.int) "axis 1 on [1, 5)" [| 0; 3; 0; 5; 6; 0 |]
+    dst
 
 let test_news_masked () =
   let g = Cm.Geometry.create [ 4 ] in
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| 0; 0; 0; 0 |] in
   let mask = [| true; false; true; false |] in
-  let n = Cm.News.shift_masked g ~axis:0 ~delta:1 ~mask src dst in
-  check Alcotest.int "updated" 2 n;
-  check (Alcotest.array Alcotest.int) "masked" [| 20; 0; 40; 0 |] dst
+  Cm.News.shift_masked g ~axis:0 ~delta:1 ~mask ~lo:0 ~hi:4 src dst;
+  check (Alcotest.array Alcotest.int) "masked" [| 20; 0; 40; 0 |] dst;
+  let dst = [| 0; 0; 0; 0 |] in
+  Cm.News.shift_masked g ~axis:0 ~delta:1 ~mask ~lo:1 ~hi:4 src dst;
+  check (Alcotest.array Alcotest.int) "masked on [1, 4)" [| 0; 0; 40; 0 |] dst;
+  (* in place with delta -1: element 2 reads the 10 just written to 1 *)
+  let a = [| 10; 20; 30; 40 |] in
+  Cm.News.shift_masked g ~axis:0 ~delta:(-1) ~mask:[| true; true; true; false |]
+    ~lo:0 ~hi:4 a a;
+  check (Alcotest.array Alcotest.int) "masked in-place shift -1"
+    [| 10; 10; 10; 40 |] a
 
 (* ---------------- Router ---------------- *)
 

@@ -899,16 +899,27 @@ let test_shift_range () =
         (Cm.Machine.field_ints m 0))
     [ `Fast; `Reference; `Sharded 3 ]
 
-(* Pre-compiling is idempotent and does not perturb results. *)
+(* Pre-compiling is idempotent, does not perturb results, and decodes
+   exactly once for the machine's own engine — the run reuses the
+   kernels — and never for the reference interpreter. *)
 let test_compile_idempotent () =
   let prog = shift_prog Shl 2 in
-  let m = Cm.Machine.create ~engine:`Fast prog in
-  Alcotest.check Alcotest.bool "engine" true (Cm.Machine.engine m = `Fast);
-  Cm.Machine.compile m;
-  Cm.Machine.compile m;
-  Cm.Machine.run m;
-  Alcotest.(check (array int)) "result" [| 16; 16; 16; 16 |]
-    (Cm.Machine.field_ints m 0)
+  List.iter
+    (fun (engine, decodes) ->
+      let obs = Obs.create () in
+      let m = Cm.Machine.create ~engine ~obs prog in
+      Alcotest.check Alcotest.bool "engine" true (Cm.Machine.engine m = engine);
+      Cm.Machine.compile m;
+      Cm.Machine.compile m;
+      Cm.Machine.run m;
+      Alcotest.(check (array int)) "result" [| 16; 16; 16; 16 |]
+        (Cm.Machine.field_ints m 0);
+      Alcotest.(check int) "cm.decode spans" decodes
+        (List.length
+           (List.filter
+              (fun (e : Obs.event) -> e.name = "cm.decode" && e.phase = Obs.Begin)
+              (Obs.events obs))))
+    [ (`Fast, 1); (`Sharded 3, 1); (`Reference, 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine specifics                                           *)
@@ -963,8 +974,10 @@ let test_bad_shard_count () =
    so chunks really execute on worker domains: elementwise ops, NEWS on
    both axes, selects, reductions, scans and router traffic over 2560
    VPs, checked against `Fast at several shard counts (including more
-   shards than this host has cores). *)
-let big_prog () =
+   shards than this host has cores).  [~masked] runs the same body under
+   a checkerboard context, so the masked chunk loops (elementwise, NEWS
+   and partial int reductions) fan out too. *)
+let big_prog ~masked =
   let b = Builder.create "big" in
   let vp = Builder.vpset b (Cm.Geometry.create [ 64; 40 ]) in
   let x = Builder.field b ~vpset:vp KInt in
@@ -972,11 +985,12 @@ let big_prog () =
   let addr = Builder.field b ~vpset:vp KInt in
   let f = Builder.field b ~vpset:vp KFloat in
   let g = Builder.field b ~vpset:vp KFloat in
+  let board = Builder.field b ~vpset:vp KInt in
   let r0 = Builder.reg b in
   let r1 = Builder.reg b in
-  List.iter (Builder.emit b)
+  let r2 = Builder.reg b in
+  let body =
     [
-      Cwith vp;
       Pcoord (x, 0);
       Pcoord (y, 1);
       Pbin (Mul, x, Fld x, Imm (SInt 3));
@@ -984,6 +998,7 @@ let big_prog () =
       Punop (ToFloat, f, Fld x);
       Pbin (Div, g, Fld f, Imm (SFloat 4.0));
       Pnews (y, x, 0, 1);
+      Preduce (Add, r2, y);
       Pnews (y, y, 1, -1);
       Psel (x, Fld y, Fld x, Imm (SInt (-7)));
       Prand (addr, Imm (SInt 2560));
@@ -1000,7 +1015,22 @@ let big_prog () =
       Pcount r0;
       Fprint ("n=", Some (Reg r0));
       Fprint ("r1=", Some (Reg r1));
-    ];
+      Fprint ("news=", Some (Reg r2));
+    ]
+  in
+  let checkerboard =
+    [
+      Pcoord (board, 0);
+      Pcoord (y, 1);
+      Pbin (Add, board, Fld board, Fld y);
+      Pbin (Band, board, Fld board, Imm (SInt 1));
+    ]
+  in
+  let code =
+    if masked then checkerboard @ (Cpush :: Cand board :: body) @ [ Cpop ]
+    else body
+  in
+  List.iter (Builder.emit b) (Cwith vp :: code);
   Builder.finish b
 
 (* Force real worker domains even on a single-core host (where the
@@ -1022,7 +1052,10 @@ let with_forced_workers f () =
 
 let test_sharded_fanout =
   with_forced_workers (fun () ->
-      assert_agree ~seed:4242 ~fuel:1_000_000 "big [64;40]" (big_prog ()))
+      assert_agree ~seed:4242 ~fuel:1_000_000 "big [64;40]"
+        (big_prog ~masked:false);
+      assert_agree ~seed:4242 ~fuel:1_000_000 "big [64;40] under a checkerboard"
+        (big_prog ~masked:true))
 
 (* A chunk that faults mid-fan-out must surface the same error as the
    serial engines, with the same partial state. *)
