@@ -31,6 +31,7 @@ type compiled = {
   prog : P.program;
   carrays : (string * array_meta) list;
   cscalars : (string * scalar_meta) list;
+  summary : Commpat.summary;
 }
 
 (* ---------------- codegen state ---------------- *)
@@ -40,7 +41,9 @@ type binding =
   | Barray of array_meta
   | Bset of string * int array          (* element name, values *)
   | Belem_axis of int                   (* axis of the current space *)
-  | Belem_reg of int                    (* seq element held in a register *)
+  | Belem_reg of int * int
+      (* seq element held in a register; its set's first value stands in
+         for it in the tuner's fan-in estimate *)
   | Bparlocal of base_ty * int * int    (* type, field, owning vpset *)
 
 (* the current activity space of a parallel context *)
@@ -69,6 +72,11 @@ type ctx = {
   mutable cse_table : (Ast.expr * int * int list * P.operand) list;
   mutable mask_path : int list;
   mutable next_mask_id : int;
+  (* communication events for the tuner (see below) *)
+  mutable mult : int;
+  mutable approx_depth : int;
+  mutable returned : [ `No | `Maybe | `Always ];
+  mutable events : Commpat.event list; (* reversed *)
 }
 
 let err loc fmt = Loc.error loc fmt
@@ -110,6 +118,51 @@ let array_meta ctx loc name =
   | Barray m -> m
   | _ -> err loc "%s is not an array" name
 
+(* ---------------- communication events ----------------
+
+   Lowering records, at the sites where it decides the traffic, one
+   Commpat.event per communication-relevant operation: array accesses
+   (gen_read, target_read, target_write), the ambient-activity Pget of
+   a nested space entry (enter_space), the histogram combining send
+   (try_histogram) and front-end element transfers (eval_fe,
+   gen_assign_fe_value).  Layoutsel re-classifies them under candidate
+   layouts.
+
+   Each event carries [mult], the static number of times the code being
+   emitted runs per program run, and is flagged estimated when an
+   enclosing construct's count is a guess ([approx_depth] > 0): SIMD and
+   front-end [while], iterating par/oneof/seq, non-constant [if] and
+   short-circuit branches, [for] loops without a static trip count.  A
+   construct that runs [k] times multiplies [mult] by [k] (counted [for],
+   seq nests); code that never runs (an unrolled seq copy after the
+   first, which the first stands for; a statically dead branch) has
+   [mult] 0 and records nothing.  After a [return] that always runs
+   nothing is recorded; after one that may run, events are estimated,
+   and so is a counted loop or seq nest whose body may return. *)
+
+let record ctx ev =
+  if ctx.mult > 0 && ctx.returned <> `Always then ctx.events <- ev :: ctx.events
+
+let estimated ctx = ctx.approx_depth > 0 || ctx.returned = `Maybe
+
+(* lower [f] as code that runs [k] times per run of the enclosing code,
+   [approx] when that count is an estimate *)
+let with_trips ?(approx = false) ctx k f =
+  let saved_mult = ctx.mult and saved_depth = ctx.approx_depth in
+  ctx.mult <- ctx.mult * k;
+  if approx then ctx.approx_depth <- ctx.approx_depth + 1;
+  let r = f () in
+  ctx.mult <- saved_mult;
+  ctx.approx_depth <- saved_depth;
+  r
+
+(* the code runs an unknown number of times, or may not run *)
+let dynamic ctx f = with_trips ~approx:true ctx Commpat.dynamic_trips f
+let maybe ctx f = with_trips ~approx:true ctx 1 f
+
+(* the rounds of a par/oneof/seq, repeated when it iterates ( * ) *)
+let rounds ctx iterate f = if iterate then dynamic ctx f else f ()
+
 (* ---------------- types ---------------- *)
 
 let rec ty_of ctx e =
@@ -146,7 +199,7 @@ let rec ty_of ctx e =
       List.iter
         (fun set ->
           match List.assoc_opt set ctx.env with
-          | Some (Bset (elem, _)) -> ctx.env <- (elem, Belem_reg (-1)) :: ctx.env
+          | Some (Bset (elem, _)) -> ctx.env <- (elem, Belem_reg (-1, 0)) :: ctx.env
           | _ -> ())
         r.rsets;
       let tys =
@@ -156,74 +209,121 @@ let rec ty_of ctx e =
       ctx.env <- saved;
       if List.mem Tfloat tys then Tfloat else Tint
 
+(* ---------------- array accesses ---------------- *)
+
+(* affine analysis of one subscript: Some (axis, offset) when the
+   subscript is  elem (+|-) const  for an element of the current space
+   (spaces are cover geometries: an element's value is its coordinate) *)
+let affine_sub ctx sub : (int * int) option =
+  let elem_axis v =
+    match List.assoc_opt v ctx.env with
+    | Some (Belem_axis ax) -> Some ax
+    | _ -> None
+  in
+  match sub.e with
+  | Evar v -> Option.map (fun ax -> (ax, 0)) (elem_axis v)
+  | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) ->
+      Option.map (fun ax -> (ax, c)) (elem_axis v)
+  | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) ->
+      Option.map (fun ax -> (ax, -c)) (elem_axis v)
+  | _ -> None
+
+(* a non-affine subscript as a function of the space coordinates, when
+   it is a pure index expression: the tuner's fan-in estimate *)
+let rec sub_evaluator ctx e : (int array -> int) option =
+  let lift2 f a b =
+    match sub_evaluator ctx a, sub_evaluator ctx b with
+    | Some fa, Some fb -> Some (fun c -> f (fa c) (fb c))
+    | _ -> None
+  in
+  match e.e with
+  | Eint k -> Some (fun _ -> k)
+  | Evar v -> (
+      match List.assoc_opt v ctx.env with
+      | Some (Belem_axis ax) -> Some (fun coords -> coords.(ax))
+      | Some (Belem_reg (_, rep)) -> Some (fun _ -> rep)
+      | _ -> None)
+  | Ebin (Add, a, b) -> lift2 ( + ) a b
+  | Ebin (Sub, a, b) -> lift2 ( - ) a b
+  | Ebin (Mul, a, b) -> lift2 ( * ) a b
+  | Ebin (Div, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x / y) a b
+  | Ebin (Mod, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x mod y) a b
+  | Ecall ("power2", [ a ]) ->
+      Option.map (fun fa c -> 1 lsl (fa c land 30)) (sub_evaluator ctx a)
+  | Ecall ("abs", [ a ]) ->
+      Option.map (fun fa c -> abs (fa c)) (sub_evaluator ctx a)
+  | Ecall ("min", [ a; b ]) -> lift2 min a b
+  | Ecall ("max", [ a; b ]) -> lift2 max a b
+  | _ -> None
+
+(* the read of array [name] at [subs] from the current space, as the
+   tuner sees it *)
+let access ctx loc name m subs : Commpat.access =
+  let sp = Option.get ctx.space in
+  {
+    Commpat.aname = name;
+    aloc = loc;
+    arw = `Read;
+    adims = m.adims;
+    asubs =
+      List.map
+        (fun sub ->
+          match affine_sub ctx sub with
+          | Some (ax, off) -> Commpat.Saffine (ax, off)
+          | None -> Commpat.Sopaque (sub_evaluator ctx sub))
+        subs;
+    aspace = sp.dims;
+    avalues = List.map snd sp.axes;
+    atrips = ctx.mult;
+    aapprox = estimated ctx;
+  }
+
+(* Decide how to access array [m] at logical subscripts [subs] from the
+   current space: the access as the tuner records it, and its plan *)
+let access_plan ctx loc name m subs =
+  if List.length subs <> List.length m.adims then
+    err loc "wrong number of subscripts";
+  let a = access ctx loc name m subs in
+  let plan =
+    match Commpat.classify ~news_opt:ctx.opts.news_opt a m.alayout with
+    | Commpat.Local -> `Aligned
+    | Router -> `General
+    | News (axis, d) ->
+        (* NEWS is sound only when every element's source is statically
+           in range (out-of-range NEWS destinations keep stale data) *)
+        let _, values = List.nth (Option.get ctx.space).axes axis in
+        let extent = List.nth m.adims axis in
+        if Array.for_all (fun v -> v + d >= 0 && v + d < extent) values then
+          `News (axis, d)
+        else
+          (* out-of-range destinations keep a prefilled default; correct
+             programs guard such elements away, exactly as they must
+             guard the access itself *)
+          `News_prefill (axis, d)
+  in
+  (a, plan)
+
 (* ---------------- safety analysis ----------------
 
    An expression is safe when evaluating it for context-disabled elements
    cannot fault, diverge, or disturb observable state (the rand stream).
    Safe sub-expressions of && / || / ?: may be evaluated flat (a single
-   select) instead of under a narrowed context. *)
+   select) instead of under a narrowed context.  An array read is safe
+   when the default layout serves it without the router: a local field,
+   or a (prefilled) NEWS shift. *)
 
-let is_identity_access ctx base subs =
+let is_local_access ctx base subs =
   match ctx.space, base.e with
-  | Some sp, Evar name -> (
+  | Some _, Evar name -> (
       match List.assoc_opt name ctx.env with
-      | Some (Barray m) ->
-          m.alayout = Mapping.Default
-          && m.adims = sp.dims
-          && List.length subs = List.length sp.dims
-          && List.for_all2
-               (fun sub axis ->
-                 match sub.e with
-                 | Evar v -> (
-                     match List.assoc_opt v ctx.env with
-                     | Some (Belem_axis ax) -> ax = axis
-                     | _ -> false)
-                 | _ -> false)
-               subs
-               (List.init (List.length sp.dims) Fun.id)
-      | _ -> false)
-  | _ -> false
-
-(* single-axis small-offset affine access on the current space with the
-   default layout: lowered as (prefilled) NEWS, hence total and safe *)
-let is_news_access ctx base subs =
-  ctx.opts.news_opt
-  &&
-  match ctx.space, base.e with
-  | Some sp, Evar name -> (
-      match List.assoc_opt name ctx.env with
-      | Some (Barray m) ->
-          m.alayout = Mapping.Default
-          && m.adims = sp.dims
-          && List.length subs = List.length sp.dims
-          && (let deltas =
-                List.mapi
-                  (fun axis sub ->
-                    match sub.e with
-                    | Evar v -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some 0
-                        | _ -> None)
-                    | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some c
-                        | _ -> None)
-                    | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some (-c)
-                        | _ -> None)
-                    | _ -> None)
-                  subs
-              in
-              List.for_all (function Some _ -> true | None -> false) deltas
-              &&
-              let nz =
-                List.filter (function Some d -> d <> 0 | None -> false) deltas
-              in
-              match nz with
-              | [] -> true
-              | [ Some d ] -> abs d <= 2
-              | _ -> false)
+      | Some (Barray m) when m.alayout = Mapping.Default -> (
+          match
+            Commpat.classify ~news_opt:ctx.opts.news_opt
+              (access ctx base.eloc name m subs)
+              Mapping.Default
+          with
+          | Commpat.Local | News _ -> true
+          | Router -> false)
       | _ -> false)
   | _ -> false
 
@@ -236,8 +336,7 @@ let rec safe_expr ctx e =
       | Some (Bscalar _ | Belem_axis _ | Belem_reg _ | Bparlocal _) -> true
       | _ -> false)
   | Eindex (base, subs) ->
-      (is_identity_access ctx base subs || is_news_access ctx base subs)
-      && List.for_all (safe_expr ctx) subs
+      is_local_access ctx base subs && List.for_all (safe_expr ctx) subs
   | Ebin ((Div | Mod), _, _) -> false
   | Ebin (_, a, b) -> safe_expr ctx a && safe_expr ctx b
   | Eun (_, a) -> safe_expr ctx a
@@ -325,7 +424,7 @@ let rec eval_fe ctx e : P.operand =
   | Evar v -> (
       match lookup ctx e.eloc v with
       | Bscalar m -> P.Reg m.sreg
-      | Belem_reg r -> P.Reg r
+      | Belem_reg (r, _) -> P.Reg r
       | Belem_axis _ ->
           err e.eloc "index element %s used outside its parallel construct" v
       | Bparlocal _ -> err e.eloc "par-local %s used on the front end" v
@@ -341,6 +440,8 @@ let rec eval_fe ctx e : P.operand =
       let addr = fe_address ctx e.eloc m subs in
       let r = P.Builder.reg ctx.b in
       emit ctx (P.Fread (r, m.afield, addr));
+      record ctx
+        (Commpat.Fe_access { fename = name; ferw = `Read; fetrips = ctx.mult });
       P.Reg r
   | Ebin (Land, a, b) ->
       (* short-circuit on the front end via branches *)
@@ -348,7 +449,7 @@ let rec eval_fe ctx e : P.operand =
       let lfalse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let va = eval_fe ctx a in
       emit ctx (P.Jz (va, lfalse));
-      let vb = eval_fe ctx b in
+      let vb = maybe ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lfalse;
@@ -360,7 +461,7 @@ let rec eval_fe ctx e : P.operand =
       let ltrue = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let va = eval_fe ctx a in
       emit ctx (P.Jnz (va, ltrue));
-      let vb = eval_fe ctx b in
+      let vb = maybe ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b ltrue;
@@ -383,11 +484,11 @@ let rec eval_fe ctx e : P.operand =
       let lelse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let vc = eval_fe ctx c in
       emit ctx (P.Jz (vc, lelse));
-      let va = eval_fe ctx a in
+      let va = maybe ctx (fun () -> eval_fe ctx a) in
       emit ctx (P.Fmov (r, va));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lelse;
-      let vb = eval_fe ctx b in
+      let vb = maybe ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fmov (r, vb));
       P.Builder.place ctx.b lend;
       P.Reg r
@@ -521,7 +622,7 @@ and eval_par_raw ctx e : P.operand =
   | Evar v -> (
       match lookup ctx e.eloc v with
       | Bscalar m -> P.Reg m.sreg
-      | Belem_reg r -> P.Reg r
+      | Belem_reg (r, _) -> P.Reg r
       | Belem_axis ax -> P.Fld sp.value_fields.(ax)
       | Bparlocal (_, f, vp) ->
           if vp <> sp.vp then
@@ -658,81 +759,6 @@ and land_field ctx (op : P.operand) : int =
 
 (* ---------------- array addressing (parallel) ---------------- *)
 
-(* affine analysis of one subscript: Some (axis, offset) when the
-   subscript is  elem (+|-) const  for an element of the current space
-   with canonical 0-based contiguous values *)
-and affine_sub ctx sub : (int * int) option =
-  (* spaces are cover geometries: an element's value is its coordinate *)
-  let elem_axis v =
-    match List.assoc_opt v ctx.env with
-    | Some (Belem_axis ax) -> Some ax
-    | _ -> None
-  in
-  match sub.e with
-  | Evar v -> Option.map (fun ax -> (ax, 0)) (elem_axis v)
-  | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, c)) (elem_axis v)
-  | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, -c)) (elem_axis v)
-  | _ -> None
-
-(* Decide how to access array [m] at logical subscripts [subs] from the
-   current space. *)
-and access_plan ctx loc m subs =
-  let sp = Option.get ctx.space in
-  let n_subs = List.length subs in
-  if n_subs <> List.length m.adims then err loc "wrong number of subscripts";
-  let affs = List.map (affine_sub ctx) subs in
-  let same_shape = m.adims = sp.dims && m.alayout <> Mapping.Folded 0 in
-  ignore same_shape;
-  (* identity / news candidates need the array to live on the space's
-     shape and every subscript affine on the matching axis *)
-  let aligned_candidate =
-    (m.alayout = Mapping.Default || (match m.alayout with Mapping.Shifted _ -> true | _ -> false))
-    && m.adims = sp.dims
-    && List.length affs = List.length sp.dims
-    && List.for_all2
-         (fun aff axis -> match aff with Some (ax, _) -> ax = axis | None -> false)
-         affs
-         (List.init (List.length sp.dims) Fun.id)
-  in
-  if aligned_candidate then begin
-    let deltas =
-      List.mapi
-        (fun k aff ->
-          let _, off = Option.get aff in
-          off - Mapping.axis_offset m.alayout k)
-        affs
-    in
-    if List.for_all (fun d -> d = 0) deltas then `Aligned
-    else begin
-      (* NEWS is sound only when every element's source is statically in
-         range (out-of-range NEWS destinations keep stale data) *)
-      let nonzero = List.filteri (fun k _ -> List.nth deltas k <> 0) deltas in
-      let axis_of_nonzero =
-        List.filteri (fun k _ -> List.nth deltas k <> 0) (List.init n_subs Fun.id)
-      in
-      match nonzero, axis_of_nonzero with
-      | [ d ], [ axis ] when ctx.opts.news_opt && abs d <= 2 ->
-          let _, values = List.nth sp.axes axis in
-          let extent = List.nth m.adims axis in
-          let all_in_range =
-            Array.for_all (fun v -> v + d >= 0 && v + d < extent) values
-          in
-          (* a cyclic (Shifted) layout wraps, NEWS does not *)
-          let plain_layout = m.alayout = Mapping.Default in
-          if not plain_layout then `General
-          else if all_in_range then `News (axis, d)
-          else
-            (* out-of-range destinations keep a prefilled default; correct
-               programs guard such elements away, exactly as they must
-               guard the access itself *)
-            `News_prefill (axis, d)
-      | _ -> `General
-    end
-  end
-  else `General
-
 (* compute the physical flat address of [m] at [subs] as an int field on
    the current space *)
 and gen_phys_address ctx loc m subs : int =
@@ -788,41 +814,46 @@ and gen_read ctx loc base subs : P.operand =
     | _ -> err base.eloc "only named arrays can be indexed"
   in
   let m = array_meta ctx base.eloc name in
-  match access_plan ctx loc m subs with
-  | `Aligned -> P.Fld m.afield
-  | `News (axis, delta) ->
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pnews (t, m.afield, axis, delta));
-      P.Fld t
-  | `News_prefill (axis, delta) ->
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
-      emit ctx (P.Pnews (t, m.afield, axis, delta));
-      P.Fld t
-  | `General ->
-      let addr = gen_phys_address ctx loc m subs in
-      let addr =
-        match m.alayout with
-        | Mapping.Copied copies ->
-            (* spread reads across the copies in blocks of the leading
-               coordinate: block spreading stays uncorrelated with the
-               low-order bits that broadcast patterns usually key on *)
-            let sp = Option.get ctx.space in
-            let ext0 = List.hd sp.dims in
-            let block = max 1 (ext0 / copies) in
-            let sel = temp ctx P.KInt in
-            emit ctx (P.Pcoord (sel, 0));
-            emit ctx (P.Pbin (P.Div, sel, P.Fld sel, P.Imm (P.SInt block)));
-            emit ctx (P.Pbin (P.Mod, sel, P.Fld sel, P.Imm (P.SInt copies)));
-            let total = List.fold_left ( * ) 1 m.adims in
-            emit ctx (P.Pbin (P.Mul, sel, P.Fld sel, P.Imm (P.SInt total)));
-            emit ctx (P.Pbin (P.Add, sel, P.Fld sel, P.Fld addr));
-            sel
-        | _ -> addr
-      in
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pget (t, m.afield, addr));
-      P.Fld t
+  let a, plan = access_plan ctx loc name m subs in
+  let value =
+    match plan with
+    | `Aligned -> P.Fld m.afield
+    | `News (axis, delta) ->
+        let t = temp ctx (kind_of_ty m.aty) in
+        emit ctx (P.Pnews (t, m.afield, axis, delta));
+        P.Fld t
+    | `News_prefill (axis, delta) ->
+        let t = temp ctx (kind_of_ty m.aty) in
+        emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
+        emit ctx (P.Pnews (t, m.afield, axis, delta));
+        P.Fld t
+    | `General ->
+        let addr = gen_phys_address ctx loc m subs in
+        let addr =
+          match m.alayout with
+          | Mapping.Copied copies ->
+              (* spread reads across the copies in blocks of the leading
+                 coordinate: block spreading stays uncorrelated with the
+                 low-order bits that broadcast patterns usually key on *)
+              let sp = Option.get ctx.space in
+              let ext0 = List.hd sp.dims in
+              let block = max 1 (ext0 / copies) in
+              let sel = temp ctx P.KInt in
+              emit ctx (P.Pcoord (sel, 0));
+              emit ctx (P.Pbin (P.Div, sel, P.Fld sel, P.Imm (P.SInt block)));
+              emit ctx (P.Pbin (P.Mod, sel, P.Fld sel, P.Imm (P.SInt copies)));
+              let total = List.fold_left ( * ) 1 m.adims in
+              emit ctx (P.Pbin (P.Mul, sel, P.Fld sel, P.Imm (P.SInt total)));
+              emit ctx (P.Pbin (P.Add, sel, P.Fld sel, P.Fld addr));
+              sel
+          | _ -> addr
+        in
+        let t = temp ctx (kind_of_ty m.aty) in
+        emit ctx (P.Pget (t, m.afield, addr));
+        P.Fld t
+  in
+  record ctx (Commpat.Access a);
+  value
 
 (* ---------------- reductions ---------------- *)
 
@@ -920,8 +951,6 @@ and enter_space ctx loc set_names =
   (match amb_act with
   | None -> ()
   | Some (amb_sp, actf) ->
-      let inner = List.fold_left (fun acc (_, v) -> acc * Array.length v) 1 sets in
-      ignore inner;
       (* prefix-linear index of each VP = linear combination of the
          leading (ambient) coordinates *)
       let addr = P.Builder.field ctx.b ~vpset:vp P.KInt in
@@ -935,6 +964,13 @@ and enter_space ctx loc set_names =
         amb_sp.dims;
       let acte = P.Builder.field ctx.b ~vpset:vp P.KInt in
       emit ctx (P.Pget (acte, actf, addr));
+      record ctx
+        (Commpat.Activity
+           {
+             trips = ctx.mult;
+             size = List.fold_left ( * ) 1 dims;
+             approx = estimated ctx;
+           });
       emit ctx (P.Cand acte));
   (* bind the new elements, shadowing outer ones *)
   let saved_env = ctx.env in
@@ -1108,10 +1144,11 @@ and gen_reduce ctx loc r : P.operand =
 
 (* ---------------- assignment targets ---------------- *)
 
+(* array targets carry their access (a write) for the tuner *)
 type target =
-  | Tparlocal of base_ty * int                 (* field on the current space *)
-  | Taligned of array_meta                     (* own slot, local ops *)
-  | Tremote of array_meta * int                (* physical address field *)
+  | Tparlocal of base_ty * int          (* field on the current space *)
+  | Taligned of array_meta * Commpat.access        (* own slot, local ops *)
+  | Tremote of array_meta * int * Commpat.access   (* physical address field *)
 
 let paris_assign_op = function
   | Aadd -> P.Add | Asub -> P.Sub | Amul -> P.Mul | Adiv -> P.Div
@@ -1139,32 +1176,39 @@ let gen_target ctx loc lhs : target =
         | _ -> err base.eloc "only named arrays can be indexed"
       in
       let m = array_meta ctx base.eloc name in
-      match access_plan ctx loc m subs with
-      | `Aligned -> Taligned m
+      let a, plan = access_plan ctx loc name m subs in
+      let a = { a with arw = `Write } in
+      match plan with
+      | `Aligned -> Taligned (m, a)
       | `News _ | `News_prefill _ | `General ->
-          Tremote (m, gen_phys_address ctx loc m subs))
+          Tremote (m, gen_phys_address ctx loc m subs, a))
   | _ -> err loc "invalid assignment target"
 
 let target_kind = function
   | Tparlocal (ty, _) -> kind_of_ty ty
-  | Taligned m | Tremote (m, _) -> kind_of_ty m.aty
+  | Taligned (m, _) | Tremote (m, _, _) -> kind_of_ty m.aty
 
 (* current value of the target, for op= and swap *)
 let target_read ctx target : P.operand =
   match target with
   | Tparlocal (_, f) -> P.Fld f
-  | Taligned m -> P.Fld m.afield
-  | Tremote (m, addr) ->
+  | Taligned (m, a) ->
+      record ctx (Commpat.Access { a with arw = `Read });
+      P.Fld m.afield
+  | Tremote (m, addr, a) ->
       let t = temp ctx (kind_of_ty m.aty) in
       emit ctx (P.Pget (t, m.afield, addr));
+      record ctx (Commpat.Access { a with arw = `Read });
       P.Fld t
 
-let target_write ctx loc target (value : P.operand) =
+let target_write ctx target (value : P.operand) =
   clear_cse ctx;
   match target with
   | Tparlocal (_, f) -> emit ctx (P.Pmov (f, value))
-  | Taligned m -> emit ctx (P.Pmov (m.afield, value))
-  | Tremote (m, addr) ->
+  | Taligned (m, a) ->
+      emit ctx (P.Pmov (m.afield, value));
+      record ctx (Commpat.Access a)
+  | Tremote (m, addr, a) ->
       (* the router needs a source field of the destination kind *)
       let src = temp ctx (kind_of_ty m.aty) in
       emit ctx (P.Pmov (src, value));
@@ -1181,7 +1225,7 @@ let target_write ctx loc target (value : P.operand) =
             end
           done
       | _ -> emit ctx (P.Psend (m.afield, src, addr, P.Ccheck)));
-      ignore loc
+      record ctx (Commpat.Access a)
 
 (* ---------------- the processor optimization (paper section 4) ----------
 
@@ -1237,21 +1281,17 @@ let try_histogram ctx loc lhs rhs : bool =
         match jelem_ok, cname, pred.e with
         | true, Some cname, Ebin (Eq, a, b) -> (
             let m = array_meta ctx base.eloc cname in
-            let key, jside =
+            let key =
               match a.e, b.e with
-              | _, Evar v when v = jvar -> (Some a, true)
-              | Evar v, _ when v = jvar -> (Some b, true)
-              | _ -> (None, false)
+              | _, Evar v when v = jvar -> Some a
+              | Evar v, _ when v = jvar -> Some b
+              | _ -> None
             in
-            ignore jside;
             match key, m.alayout, m.adims with
             | Some key, Mapping.Default, [ extent ] ->
-                let _, ivalues = lookup_set ctx loc iset in
-                let ielem, _ = lookup_set ctx loc iset in
                 (* the key and contribution may only mention the inner
                    element *)
                 let mentions_j e = List.mem jvar (free_elems [] e) in
-                ignore ielem;
                 if mentions_j key || mentions_j contrib then false
                 else begin
                   (* zero the histogram, then combine-send over I *)
@@ -1262,8 +1302,7 @@ let try_histogram ctx loc lhs rhs : bool =
                      statically fully active, so dropping it is sound *)
                   let ambient_space = ctx.space in
                   ctx.space <- None;
-                  let saved, _space = enter_space ctx loc [ iset ] in
-                  ignore ivalues;
+                  let saved, space = enter_space ctx loc [ iset ] in
                   let keyop = eval_par ctx key in
                   let addr = temp ctx P.KInt in
                   emit ctx (P.Pmov (addr, keyop));
@@ -1277,7 +1316,15 @@ let try_histogram ctx loc lhs rhs : bool =
                       let c = eval_par ctx contrib in
                       let src = temp ctx P.KInt in
                       emit ctx (P.Pmov (src, c));
-                      emit ctx (P.Psend (m.afield, src, addr, P.Cadd)));
+                      emit ctx (P.Psend (m.afield, src, addr, P.Cadd));
+                      record ctx
+                        (Commpat.Hist_send
+                           {
+                             count = cname;
+                             trips = ctx.mult;
+                             isize = List.fold_left ( * ) 1 space.dims;
+                             approx = estimated ctx;
+                           }));
                   clear_cse ctx;
                   leave_space ctx saved;
                   ctx.space <- ambient_space;
@@ -1304,8 +1351,8 @@ let rec gen_stmt_par ctx st =
       emit ctx (P.Pmov (va, target_read ctx ta));
       let vb = temp ctx (target_kind tb) in
       emit ctx (P.Pmov (vb, target_read ctx tb));
-      target_write ctx eloc ta (P.Fld vb);
-      target_write ctx eloc tb (P.Fld va)
+      target_write ctx ta (P.Fld vb);
+      target_write ctx tb (P.Fld va)
   | Sexpr e -> ignore (eval_par ctx e)
   | Sblock b -> gen_block_par ctx b
   | Sif (c, then_, else_) ->
@@ -1326,13 +1373,14 @@ let rec gen_stmt_par ctx st =
       let out = P.Builder.label ctx.b in
       clear_cse ctx;
       P.Builder.place ctx.b top;
-      let vc = eval_par ctx c in
-      let cf = land_field ctx vc in
-      emit ctx (P.Cand cf);
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Pcount r);
-      emit ctx (P.Jz (P.Reg r, out));
-      gen_stmt_par ctx body;
+      dynamic ctx (fun () ->
+          let vc = eval_par ctx c in
+          let cf = land_field ctx vc in
+          emit ctx (P.Cand cf);
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Pcount r);
+          emit ctx (P.Jz (P.Reg r, out));
+          gen_stmt_par ctx body);
       emit ctx (P.Jmp top);
       P.Builder.place ctx.b out;
       emit ctx P.Cpop;
@@ -1352,7 +1400,7 @@ and gen_assign_par ctx loc op lhs rhs =
     match op with
     | Aset ->
         let v = eval_par ctx rhs in
-        target_write ctx loc target v
+        target_write ctx target v
     | _ ->
         let old = target_read ctx target in
         (* keep the old value: target_read of an aligned target aliases the
@@ -1362,7 +1410,7 @@ and gen_assign_par ctx loc op lhs rhs =
         let v = eval_par ctx rhs in
         let combined = temp ctx (target_kind target) in
         emit ctx (P.Pbin (paris_assign_op op, combined, P.Fld oldt, v));
-        target_write ctx loc target (P.Fld combined)
+        target_write ctx target (P.Fld combined)
   end
 
 and gen_block_par ctx b =
@@ -1483,7 +1531,7 @@ and gen_par ctx loc ps =
     clear_cse ctx;
     P.Builder.place ctx.b top;
     emit ctx (P.Fmov (any, P.Imm (P.SInt 0)));
-    round (Some any);
+    dynamic ctx (fun () -> round (Some any));
     emit ctx (P.Jnz (P.Reg any, top))
   end
   else round None;
@@ -1501,29 +1549,32 @@ and gen_oneof ctx loc ps =
   P.Builder.place ctx.b top;
   let exec_labels = Array.init n (fun _ -> P.Builder.label ctx.b) in
   let pred_fields = Array.make n (-1) in
-  (* evaluate every predicate, then dispatch to the first enabled branch *)
-  Array.iteri
-    (fun i (pred, _) ->
-      let pf =
-        match pred with
-        | Some p -> land_field ctx (eval_par ctx p)
-        | None ->
-            let f = temp ctx P.KInt in
-            emit ctx (P.Pmov (f, P.Imm (P.SInt 1)));
-            f
-      in
-      pred_fields.(i) <- pf;
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Preduce (P.Lor, r, pf));
-      emit ctx (P.Jnz (P.Reg r, exec_labels.(i))))
-    branches;
-  emit ctx (P.Jmp out);
-  Array.iteri
-    (fun i (_, body) ->
-      P.Builder.place ctx.b exec_labels.(i);
-      under_mask ctx pred_fields.(i) (fun () -> gen_stmt_par ctx body);
-      if ps.iterate then emit ctx (P.Jmp top) else emit ctx (P.Jmp out))
-    branches;
+  rounds ctx ps.iterate (fun () ->
+      (* evaluate every predicate, then dispatch to the first enabled branch *)
+      Array.iteri
+        (fun i (pred, _) ->
+          let pf =
+            match pred with
+            | Some p -> land_field ctx (eval_par ctx p)
+            | None ->
+                let f = temp ctx P.KInt in
+                emit ctx (P.Pmov (f, P.Imm (P.SInt 1)));
+                f
+          in
+          pred_fields.(i) <- pf;
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Preduce (P.Lor, r, pf));
+          emit ctx (P.Jnz (P.Reg r, exec_labels.(i))))
+        branches;
+      emit ctx (P.Jmp out);
+      (* each body runs only when some element enables it *)
+      Array.iteri
+        (fun i (_, body) ->
+          P.Builder.place ctx.b exec_labels.(i);
+          maybe ctx (fun () ->
+              under_mask ctx pred_fields.(i) (fun () -> gen_stmt_par ctx body));
+          if ps.iterate then emit ctx (P.Jmp top) else emit ctx (P.Jmp out))
+        branches);
   P.Builder.place ctx.b out;
   leave_space ctx saved
 
@@ -1561,63 +1612,72 @@ and gen_seq ctx loc ps =
           emit ctx
             (P.Fbin (P.Gt, t, P.Reg v, P.Imm (P.SInt values.(n - 1))));
           emit ctx (P.Jnz (P.Reg t, lout));
-          ctx.env <- (elem, Belem_reg v) :: ctx.env;
-          nest rest k;
+          ctx.env <- (elem, Belem_reg (v, values.(0))) :: ctx.env;
+          with_trips ctx n (fun () -> nest rest k);
           ctx.env <- saved_env;
           emit ctx (P.Fbin (P.Add, v, P.Reg v, P.Imm (P.SInt 1)));
           emit ctx (P.Jmp ltop);
           P.Builder.place ctx.b lout
         end
         else
-          Array.iter
-            (fun value ->
+          (* unrolled: the first copy stands for all [n] *)
+          Array.iteri
+            (fun copy value ->
               let v = P.Builder.reg ctx.b in
               emit ctx (P.Fmov (v, P.Imm (P.SInt value)));
-              ctx.env <- (elem, Belem_reg v) :: ctx.env;
-              nest rest k;
+              ctx.env <- (elem, Belem_reg (v, value)) :: ctx.env;
+              with_trips ctx (if copy = 0 then n else 0) (fun () -> nest rest k);
               ctx.env <- saved_env)
             values
   in
-  nest sets (fun () ->
-      clear_cse ctx;
-      List.iter
-        (fun (pred, body) ->
-          if fe_context then begin
-            let skip = P.Builder.label ctx.b in
-            (match pred with
-            | Some p ->
-                let vc = eval_fe ctx p in
-                emit ctx (P.Jz (vc, skip))
-            | None -> ());
-            (match any_reg with
-            | Some any -> emit ctx (P.Fmov (any, P.Imm (P.SInt 1)))
-            | None -> ());
-            gen_stmt_fe ctx body;
-            P.Builder.place ctx.b skip
-          end
-          else begin
-            match pred with
-            | Some p ->
-                let pf = land_field ctx (eval_par ctx p) in
-                (match any_reg with
-                | Some any ->
-                    let r = P.Builder.reg ctx.b in
-                    emit ctx (P.Preduce (P.Lor, r, pf));
-                    emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
+  (* an iterating nest repeats an unknown number of times; a return in
+     the body may end it early *)
+  let approx =
+    ps.iterate || List.exists (fun (_, body) -> Commpat.escapes body) ps.pbranches
+  in
+  with_trips ~approx ctx (if ps.iterate then Commpat.dynamic_trips else 1) (fun () ->
+      nest sets (fun () ->
+          clear_cse ctx;
+          List.iter
+            (fun (pred, body) ->
+              if fe_context then begin
+                let skip = P.Builder.label ctx.b in
+                (match pred with
+                | Some p ->
+                    let vc = eval_fe ctx p in
+                    emit ctx (P.Jz (vc, skip))
                 | None -> ());
-                under_mask ctx pf (fun () -> gen_stmt_par ctx body)
-            | None ->
                 (match any_reg with
-                | Some any ->
-                    let r = P.Builder.reg ctx.b in
-                    emit ctx (P.Pcount r);
-                    let nz = P.Builder.reg ctx.b in
-                    emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
-                    emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
+                | Some any -> emit ctx (P.Fmov (any, P.Imm (P.SInt 1)))
                 | None -> ());
-                gen_stmt_par ctx body
-          end)
-        ps.pbranches);
+                (* the body runs only where the guard holds *)
+                if Option.is_none pred then gen_stmt_fe ctx body
+                else maybe ctx (fun () -> gen_stmt_fe ctx body);
+                P.Builder.place ctx.b skip
+              end
+              else begin
+                match pred with
+                | Some p ->
+                    let pf = land_field ctx (eval_par ctx p) in
+                    (match any_reg with
+                    | Some any ->
+                        let r = P.Builder.reg ctx.b in
+                        emit ctx (P.Preduce (P.Lor, r, pf));
+                        emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
+                    | None -> ());
+                    under_mask ctx pf (fun () -> gen_stmt_par ctx body)
+                | None ->
+                    (match any_reg with
+                    | Some any ->
+                        let r = P.Builder.reg ctx.b in
+                        emit ctx (P.Pcount r);
+                        let nz = P.Builder.reg ctx.b in
+                        emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
+                        emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
+                    | None -> ());
+                    gen_stmt_par ctx body
+              end)
+            ps.pbranches));
   match any_reg with
   | Some any -> emit ctx (P.Jnz (P.Reg any, top))
   | None -> ()
@@ -1655,23 +1715,32 @@ and gen_stmt_fe ctx st =
       let vc = eval_fe ctx c in
       let lelse = P.Builder.label ctx.b in
       let lend = P.Builder.label ctx.b in
+      (* a constant condition selects its branch statically *)
+      let branch taken f =
+        match Sema.const_eval c with
+        | v -> with_trips ctx (if (v <> 0) = taken then 1 else 0) f
+        | exception Loc.Error _ -> maybe ctx f
+      in
       emit ctx (P.Jz (vc, lelse));
-      gen_stmt_fe ctx then_;
+      branch true (fun () -> gen_stmt_fe ctx then_);
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lelse;
-      (match else_ with Some s -> gen_stmt_fe ctx s | None -> ());
+      (match else_ with
+      | Some s -> branch false (fun () -> gen_stmt_fe ctx s)
+      | None -> ());
       P.Builder.place ctx.b lend
   | Swhile (c, body) ->
       let top = P.Builder.label ctx.b in
       let out = P.Builder.label ctx.b in
       P.Builder.place ctx.b top;
-      let vc = eval_fe ctx c in
-      emit ctx (P.Jz (vc, out));
-      ctx.break_labels <- out :: ctx.break_labels;
-      ctx.continue_labels <- top :: ctx.continue_labels;
-      gen_stmt_fe ctx body;
-      ctx.break_labels <- List.tl ctx.break_labels;
-      ctx.continue_labels <- List.tl ctx.continue_labels;
+      dynamic ctx (fun () ->
+          let vc = eval_fe ctx c in
+          emit ctx (P.Jz (vc, out));
+          ctx.break_labels <- out :: ctx.break_labels;
+          ctx.continue_labels <- top :: ctx.continue_labels;
+          gen_stmt_fe ctx body;
+          ctx.break_labels <- List.tl ctx.break_labels;
+          ctx.continue_labels <- List.tl ctx.continue_labels);
       emit ctx (P.Jmp top);
       P.Builder.place ctx.b out
   | Sfor (init, cond, step, body) ->
@@ -1680,22 +1749,37 @@ and gen_stmt_fe ctx st =
       let cont = P.Builder.label ctx.b in
       let out = P.Builder.label ctx.b in
       P.Builder.place ctx.b top;
-      (match cond with
-      | Some c ->
-          let vc = eval_fe ctx c in
-          emit ctx (P.Jz (vc, out))
-      | None -> ());
-      ctx.break_labels <- out :: ctx.break_labels;
-      ctx.continue_labels <- cont :: ctx.continue_labels;
-      gen_stmt_fe ctx body;
-      ctx.break_labels <- List.tl ctx.break_labels;
-      ctx.continue_labels <- List.tl ctx.continue_labels;
-      P.Builder.place ctx.b cont;
-      (match step with Some s -> gen_stmt_fe ctx s | None -> ());
+      (* the condition runs once more than the body; the canonical
+         counted form has an event-free condition, so counting it at the
+         body's trips loses nothing *)
+      let trips f =
+        match Commpat.for_trips init cond step body with
+        | Some n -> with_trips ctx n f
+        | None -> dynamic ctx f
+      in
+      trips (fun () ->
+          (match cond with
+          | Some c ->
+              let vc = eval_fe ctx c in
+              emit ctx (P.Jz (vc, out))
+          | None -> ());
+          ctx.break_labels <- out :: ctx.break_labels;
+          ctx.continue_labels <- cont :: ctx.continue_labels;
+          gen_stmt_fe ctx body;
+          ctx.break_labels <- List.tl ctx.break_labels;
+          ctx.continue_labels <- List.tl ctx.continue_labels;
+          P.Builder.place ctx.b cont;
+          match step with Some s -> gen_stmt_fe ctx s | None -> ());
       emit ctx (P.Jmp top);
       P.Builder.place ctx.b out
   | Sblock b -> gen_block_fe ctx b
-  | Sreturn _ -> emit ctx (P.Jmp ctx.exit_label)
+  | Sreturn _ ->
+      (* a return reached once, unconditionally, ends everything after
+         it; any other may, which leaves later counts an estimate *)
+      if ctx.mult > 0 && ctx.returned <> `Always then
+        ctx.returned <-
+          (if ctx.mult = 1 && ctx.approx_depth = 0 then `Always else `Maybe);
+      emit ctx (P.Jmp ctx.exit_label)
   | Sbreak -> (
       match ctx.break_labels with
       | l :: _ -> emit ctx (P.Jmp l)
@@ -1749,7 +1833,7 @@ and gen_assign_fe_value ctx loc lhs value =
       in
       let m = array_meta ctx base.eloc name in
       let addr = fe_address ctx loc m subs in
-      match m.alayout with
+      (match m.alayout with
       | Mapping.Copied copies ->
           let total = List.fold_left ( * ) 1 m.adims in
           for c = 0 to copies - 1 do
@@ -1760,7 +1844,9 @@ and gen_assign_fe_value ctx loc lhs value =
               emit ctx (P.Fwrite (m.afield, P.Reg a, value))
             end
           done
-      | _ -> emit ctx (P.Fwrite (m.afield, addr, value)))
+      | _ -> emit ctx (P.Fwrite (m.afield, addr, value)));
+      record ctx
+        (Commpat.Fe_access { fename = name; ferw = `Write; fetrips = ctx.mult }))
   | _ -> err loc "invalid assignment target"
 
 and gen_block_fe ctx b =
@@ -1848,6 +1934,10 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
       cse_table = [];
       mask_path = [];
       next_mask_id = 0;
+      mult = 1;
+      approx_depth = 0;
+      returned = `No;
+      events = [];
     }
   in
   ctx.exit_label <- P.Builder.label b;
@@ -1878,6 +1968,14 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
   emit ctx P.Halt;
   let prog = P.Builder.finish b in
   let carrays = List.rev carrays and cscalars = List.rev cscalars in
+  let summary =
+    {
+      Commpat.events = List.rev ctx.events;
+      arrays = List.map (fun (name, m) -> (name, m.adims)) carrays;
+      news_opt = options.news_opt;
+      base_layouts = layouts;
+    }
+  in
   (* The observable state after a run is the named storage: declared
      arrays and front-end scalars.  Everything else (temporaries, mask
      saves, address fields) is fair game for dead-code elimination. *)
@@ -1890,4 +1988,4 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
            ~obs prog)
     else prog
   in
-  { prog; carrays; cscalars }
+  { prog; carrays; cscalars; summary }

@@ -50,6 +50,10 @@ type compiled = {
   prog : Cm.Paris.program;
   carrays : (string * array_meta) list;
   cscalars : (string * scalar_meta) list;
+  summary : Commpat.summary;
+      (** the communication events recorded while lowering, with static
+          trip counts: what {!Layoutsel} re-classifies under candidate
+          layouts *)
 }
 
 (** [compile program] lowers a checked, transformed program.  [layouts]

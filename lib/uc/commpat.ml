@@ -1,33 +1,23 @@
 open Ast
 
-(* Static communication-pattern analysis (the front half of `ucc tune`).
+(* Communication events and their re-classification (the front half
+   of `ucc tune`).
 
-   Walks the transformed, constant-folded AST in exactly the order
-   Codegen emits instructions, but instead of Paris code it records one
-   *event* per communication-relevant operation together with the
-   operation's static execution count (trip count).  Each array access
-   keeps enough structure (affine subscript analysis, the activity
-   space's geometry) to be re-classified later under any candidate
-   layout, which is what lets Layoutsel score layouts without lowering
-   or running anything.
-
-   The mirror has to be faithful to the places where Codegen decides
-   how many router/NEWS operations a statement costs:
-   - access_plan (Aligned / News / General), including the rule that
-     writes never use NEWS;
-   - common sub-expression reuse (a cached read is not re-fetched) with
-     its clearing points: writes, space entry/leave, loop tops,
-     par-local declarations, mask exits;
-   - the reduction space entry's ambient-activity expansion (one Pget
-     when the ambient context is not statically full);
-   - the histogram processor optimization (one combining send);
-   - Copied-layout write replication (one send per copy);
-   - op= / swap targets reading through the router before writing.
+   The compiler records one *event* per communication-relevant
+   operation while it lowers a program (see "communication events" in
+   codegen.ml), together with the operation's static execution count
+   (trip count).  Each array access keeps enough structure (affine
+   subscript analysis, the activity space's geometry) to be
+   re-classified later under any candidate layout, which is what lets
+   Layoutsel score layouts from one lowering without running anything.
+   [classify] is also the decision the lowering's access planner takes,
+   so the lowering and the tuner share one classification procedure.
 
    Trip counts are exact for [for] loops with constant bounds and [seq]
    over index sets; data-dependent iteration (`*par`, `*oneof`, `*seq`,
-   SIMD [while], front-end [while], non-constant [if]/[for]) is
-   estimated and the affected events are flagged approximate. *)
+   SIMD [while], front-end [while], non-constant [if]/[for], code after
+   a [return] that may run, loops a [return] may end) is estimated and
+   the affected events are flagged approximate. *)
 
 (* the communication-pattern lattice: Local < News < Router *)
 type pat =
@@ -69,10 +59,8 @@ type event =
 type summary = {
   events : event list; (* in emission order *)
   arrays : (string * int list) list; (* every global array and its dims *)
-  sets : (string * int array) list; (* every global index set's values *)
-  options : Codegen.options;
-  base_layouts : Mapping.table; (* the table the walk was performed under *)
-  had_dynamic : bool; (* some trip count was estimated *)
+  news_opt : bool; (* the lowering's NEWS optimization flag *)
+  base_layouts : Mapping.table; (* the table the events were recorded under *)
 }
 
 (* assumed iteration count for data-dependent loops; only affects the
@@ -82,53 +70,44 @@ let dynamic_trips = 8
 
 (* ---------------- classification ---------------- *)
 
-let axis_offset = Mapping.axis_offset
-
-(* mirror of Codegen.access_plan, parametrized by the layout *)
+(* the access plan under [layout]; the lowering's access_plan takes it *)
 let classify ~news_opt (a : access) (layout : Mapping.layout) : pat =
   let layout = Mapping.normalize layout in
+  (* only an access on the space's own shape, every subscript affine on
+     its own axis, can avoid the router *)
+  let offsets =
+    List.mapi
+      (fun k sub ->
+        match sub with Saffine (ax, off) when ax = k -> Some off | _ -> None)
+      a.asubs
+  in
   let aligned_candidate =
     (match layout with
     | Mapping.Default | Mapping.Shifted _ -> true
     | _ -> false)
     && a.adims = a.aspace
     && List.length a.asubs = List.length a.aspace
-    && List.for_all2
-         (fun sub axis ->
-           match sub with Saffine (ax, _) -> ax = axis | Sopaque _ -> false)
-         a.asubs
-         (List.init (List.length a.aspace) Fun.id)
+    && List.for_all Option.is_some offsets
   in
   if not aligned_candidate then Router
-  else begin
-    let deltas =
-      List.mapi
-        (fun k sub ->
-          match sub with
-          | Saffine (_, off) -> off - axis_offset layout k
-          | Sopaque _ -> assert false)
-        a.asubs
+  else
+    let nonzero =
+      List.filter
+        (fun (_, d) -> d <> 0)
+        (List.mapi
+           (fun k off -> (k, Option.get off - Mapping.axis_offset layout k))
+           offsets)
     in
-    if List.for_all (fun d -> d = 0) deltas then Local
-    else
-      let nonzero =
-        List.filteri (fun k _ -> List.nth deltas k <> 0) deltas
-      in
-      let axes =
-        List.filteri
-          (fun k _ -> List.nth deltas k <> 0)
-          (List.init (List.length deltas) Fun.id)
-      in
-      match nonzero, axes with
-      | [ d ], [ axis ] when news_opt && abs d <= 2 ->
-          (* a cyclic (Shifted) layout wraps, NEWS does not; writes are
-             handled by the caller (they never use NEWS) *)
-          if layout <> Mapping.Default then Router else News (axis, d)
-      | _ -> Router
-  end
+    match nonzero with
+    | [] -> Local
+    | [ (axis, d) ] when news_opt && abs d <= 2 ->
+        (* a cyclic (Shifted) layout wraps, NEWS does not; writes are
+           handled by classify_write (they never use NEWS) *)
+        if layout <> Mapping.Default then Router else News (axis, d)
+    | _ -> Router
 
 (* a write is local exactly when the access is fully aligned; every
-   other plan sends through the router (Codegen.gen_target) *)
+   other plan sends through the router *)
 let classify_write ~news_opt a layout =
   match classify ~news_opt a layout with
   | Local -> Local
@@ -148,7 +127,7 @@ type prediction = {
 }
 
 let predict summary (table : Mapping.table) : prediction =
-  let news_opt = summary.options.Codegen.news_opt in
+  let news_opt = summary.news_opt in
   let router = ref 0 and news = ref 0 and exact = ref true in
   let bump cell n approx =
     if n > 0 then begin
@@ -217,7 +196,7 @@ let estimate_fanin (a : access) (layout : Mapping.layout) : int * int =
           match layout with
           | Mapping.Copied _ when a.arw = `Read ->
               (* reads spread across copies in leading-coordinate blocks
-                 (Codegen.gen_read) *)
+                 (as the lowering's gen_read does) *)
               let sel = coords.(0) / block mod copies in
               (sel * total) + base
           | _ -> base
@@ -230,814 +209,46 @@ let estimate_fanin (a : access) (layout : Mapping.layout) : int * int =
     (!valid, fanin)
   end
 
-(* ---------------- the walker ---------------- *)
-
-type binding =
-  | Xscalar
-  | Xarray of { xdims : int list; xlayout : Mapping.layout }
-  | Xset of string * int array
-  | Xelem_axis of int
-  | Xelem_reg of int (* representative value, for fan-in estimation *)
-  | Xparlocal
-
-type wspace = { wdims : int list; waxes : (string * int array) list }
-
-type st = {
-  opts : Codegen.options;
-  layouts : Mapping.table;
-  mutable env : (string * binding) list;
-  mutable space : wspace option;
-  mutable act_all : bool;
-  mutable known_extents : int list;
-  (* CSE mirror: expr, space identity (its dims), mask path at entry *)
-  mutable cse : (Ast.expr * int list * int list) list;
-  mutable mask_path : int list;
-  mutable next_mask : int;
-  mutable mult : int;
-  mutable approx_depth : int;
-  mutable had_dynamic : bool;
-  mutable events : event list; (* reversed *)
-}
-
-exception Returned
-
-let record st ev = st.events <- ev :: st.events
-
-let lookup st loc name =
-  match List.assoc_opt name st.env with
-  | Some b -> b
-  | None -> Loc.error loc "unknown identifier %s" name
-
-let lookup_set st loc name =
-  match lookup st loc name with
-  | Xset (elem, values) -> (elem, values)
-  | _ -> Loc.error loc "%s is not an index set" name
-
-let array_info st loc name =
-  match lookup st loc name with
-  | Xarray { xdims; xlayout } -> (xdims, xlayout)
-  | _ -> Loc.error loc "%s is not an array" name
+(* ---------------- counted loops ---------------- *)
 
 let const_of e = try Some (Sema.const_eval e) with _ -> None
 
-(* mirror Codegen.affine_sub *)
-let affine_sub st sub =
-  let elem_axis v =
-    match List.assoc_opt v st.env with
-    | Some (Xelem_axis ax) -> Some ax
-    | _ -> None
-  in
-  match sub.e with
-  | Evar v -> Option.map (fun ax -> (ax, 0)) (elem_axis v)
-  | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, c)) (elem_axis v)
-  | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, -c)) (elem_axis v)
-  | _ -> None
-
-(* pure-index evaluator for fan-in estimation; mirrors nothing in
-   Codegen — it abstracts the subscript as a function of coordinates *)
-let rec sub_evaluator st e : (int array -> int) option =
-  let lift2 f a b =
-    match sub_evaluator st a, sub_evaluator st b with
-    | Some fa, Some fb -> Some (fun c -> f (fa c) (fb c))
-    | _ -> None
-  in
-  match e.e with
-  | Eint k -> Some (fun _ -> k)
-  | Evar v -> (
-      match List.assoc_opt v st.env with
-      | Some (Xelem_axis ax) -> Some (fun coords -> coords.(ax))
-      | Some (Xelem_reg rep) -> Some (fun _ -> rep)
-      | _ -> None)
-  | Ebin (Add, a, b) -> lift2 ( + ) a b
-  | Ebin (Sub, a, b) -> lift2 ( - ) a b
-  | Ebin (Mul, a, b) -> lift2 ( * ) a b
-  | Ebin (Div, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x / y) a b
-  | Ebin (Mod, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x mod y) a b
-  | Ecall ("power2", [ a ]) ->
-      Option.map (fun fa c -> 1 lsl (fa c land 30)) (sub_evaluator st a)
-  | Ecall ("abs", [ a ]) -> Option.map (fun fa c -> abs (fa c)) (sub_evaluator st a)
-  | Ecall ("min", [ a; b ]) -> lift2 min a b
-  | Ecall ("max", [ a; b ]) -> lift2 max a b
-  | _ -> None
-
-let make_sub st sub =
-  match affine_sub st sub with
-  | Some (ax, off) -> Saffine (ax, off)
-  | None -> Sopaque (sub_evaluator st sub)
-
-(* expression predicates, mirrored from Codegen *)
-let rec contains_rand e =
-  match e.e with
-  | Ecall ("rand", _) -> true
-  | Ecall (_, args) -> List.exists contains_rand args
-  | Eindex (b, subs) -> contains_rand b || List.exists contains_rand subs
-  | Ebin (_, a, b) -> contains_rand a || contains_rand b
-  | Eun (_, a) -> contains_rand a
-  | Econd (c, a, b) -> contains_rand c || contains_rand a || contains_rand b
-  | Ereduce r ->
-      List.exists
-        (fun (p, ex) ->
-          (match p with Some p -> contains_rand p | None -> false)
-          || contains_rand ex)
-        r.rbranches
-      || (match r.rothers with Some ex -> contains_rand ex | None -> false)
-  | Eint _ | Efloat _ | Estr _ | Einf | Evar _ -> false
-
-(* structural equality of expressions, ignoring locations (as in Codegen) *)
-let rec expr_equal a b =
-  match a.e, b.e with
-  | Eint x, Eint y -> x = y
-  | Efloat x, Efloat y -> x = y
-  | Estr x, Estr y -> x = y
-  | Einf, Einf -> true
-  | Evar x, Evar y -> x = y
-  | Eindex (b1, s1), Eindex (b2, s2) ->
-      expr_equal b1 b2
-      && List.length s1 = List.length s2
-      && List.for_all2 expr_equal s1 s2
-  | Ebin (o1, x1, y1), Ebin (o2, x2, y2) ->
-      o1 = o2 && expr_equal x1 x2 && expr_equal y1 y2
-  | Eun (o1, x1), Eun (o2, x2) -> o1 = o2 && expr_equal x1 x2
-  | Econd (c1, x1, y1), Econd (c2, x2, y2) ->
-      expr_equal c1 c2 && expr_equal x1 x2 && expr_equal y1 y2
-  | Ecall (f1, a1), Ecall (f2, a2) ->
-      f1 = f2 && List.length a1 = List.length a2 && List.for_all2 expr_equal a1 a2
-  | Ereduce r1, Ereduce r2 ->
-      r1.rop = r2.rop && r1.rsets = r2.rsets
-      && List.length r1.rbranches = List.length r2.rbranches
-      && List.for_all2
-           (fun (p1, e1) (p2, e2) ->
-             (match p1, p2 with
-             | None, None -> true
-             | Some p1, Some p2 -> expr_equal p1 p2
-             | _ -> false)
-             && expr_equal e1 e2)
-           r1.rbranches r2.rbranches
-      && (match r1.rothers, r2.rothers with
-         | None, None -> true
-         | Some x, Some y -> expr_equal x y
-         | _ -> false)
-  | _ -> false
-
-let cse_worthwhile e =
-  match e.e with
-  | Eint _ | Efloat _ | Estr _ | Einf | Evar _ -> false
-  | _ -> true
-
-let rec is_prefix p q =
-  match p, q with
-  | [], _ -> true
-  | x :: p', y :: q' -> x = y && is_prefix p' q'
-  | _ -> false
-
-let clear_cse st = st.cse <- []
-
-(* mirror of Codegen.is_identity_access / is_news_access / safe_expr:
-   the safety analysis drives short-circuit emission shapes, and it
-   depends on the layout in effect during the walk *)
-let is_identity_access st base subs =
-  match st.space, base.e with
-  | Some sp, Evar name -> (
-      match List.assoc_opt name st.env with
-      | Some (Xarray x) ->
-          x.xlayout = Mapping.Default
-          && x.xdims = sp.wdims
-          && List.length subs = List.length sp.wdims
-          && List.for_all2
-               (fun sub axis ->
-                 match affine_sub st sub with
-                 | Some (ax, 0) -> ax = axis
-                 | _ -> false)
-               subs
-               (List.init (List.length sp.wdims) Fun.id)
-      | _ -> false)
-  | _ -> false
-
-let is_news_access st base subs =
-  st.opts.Codegen.news_opt
-  &&
-  match st.space, base.e with
-  | Some sp, Evar name -> (
-      match List.assoc_opt name st.env with
-      | Some (Xarray x) ->
-          x.xlayout = Mapping.Default
-          && x.xdims = sp.wdims
-          && List.length subs = List.length sp.wdims
-          && (let deltas =
-                List.mapi
-                  (fun axis sub ->
-                    match affine_sub st sub with
-                    | Some (ax, d) when ax = axis -> Some d
-                    | _ -> None)
-                  subs
-              in
-              List.for_all Option.is_some deltas
-              &&
-              let nz =
-                List.filter (function Some d -> d <> 0 | None -> false) deltas
-              in
-              match nz with
-              | [] -> true
-              | [ Some d ] -> abs d <= 2
-              | _ -> false)
-      | _ -> false)
-  | _ -> false
-
-let rec safe_expr st e =
-  match e.e with
-  | Eint _ | Efloat _ | Einf -> true
-  | Estr _ -> false
-  | Evar v -> (
-      match List.assoc_opt v st.env with
-      | Some (Xscalar | Xelem_axis _ | Xelem_reg _ | Xparlocal) -> true
-      | _ -> false)
-  | Eindex (base, subs) ->
-      (is_identity_access st base subs || is_news_access st base subs)
-      && List.for_all (safe_expr st) subs
-  | Ebin ((Div | Mod), _, _) -> false
-  | Ebin (_, a, b) -> safe_expr st a && safe_expr st b
-  | Eun (_, a) -> safe_expr st a
-  | Econd (c, a, b) -> safe_expr st c && safe_expr st a && safe_expr st b
-  | Ecall (("power2" | "abs" | "min" | "max" | "tofloat" | "toint"), args) ->
-      List.for_all (safe_expr st) args
-  | Ecall _ -> false
-  | Ereduce _ -> false
-
-(* mirror Codegen.access_plan on the walk's own layout table *)
-let walk_plan st loc name subs =
-  let dims, layout = array_info st loc name in
-  let sp = Option.get st.space in
-  let a =
-    {
-      aname = name;
-      aloc = loc;
-      arw = `Read;
-      adims = dims;
-      asubs = List.map (make_sub st) subs;
-      aspace = sp.wdims;
-      avalues = List.map snd sp.waxes;
-      atrips = st.mult;
-      aapprox = st.approx_depth > 0;
-    }
-  in
-  (layout, a, classify ~news_opt:st.opts.Codegen.news_opt a layout)
-
-let under_mask st f =
-  let id = st.next_mask in
-  st.next_mask <- id + 1;
-  let saved_path = st.mask_path in
-  let saved_all = st.act_all in
-  st.act_all <- false;
-  st.mask_path <- st.mask_path @ [ id ];
-  f ();
-  st.cse <- List.filter (fun (_, _, path) -> is_prefix path saved_path) st.cse;
-  st.mask_path <- saved_path;
-  st.act_all <- saved_all
-
-let with_approx st k f =
-  if k <> 1 then st.had_dynamic <- true;
-  let saved_mult = st.mult and saved_depth = st.approx_depth in
-  st.mult <- st.mult * k;
-  st.approx_depth <- st.approx_depth + 1;
-  f ();
-  st.mult <- saved_mult;
-  st.approx_depth <- saved_depth
-
-let cover_extent st values =
-  let n = Array.length values in
-  if n = 0 then 1
-  else begin
-    let needed = 1 + Array.fold_left max values.(0) values in
-    let candidates =
-      List.sort compare (List.filter (fun e -> e >= needed) st.known_extents)
-    in
-    match candidates with m :: _ -> m | [] -> needed
-  end
-
-(* mirror of Codegen.enter_space, recording the ambient-activity
-   expansion Pget when the ambient context is not statically full *)
-let enter_space st loc set_names =
-  let ambient = st.space in
-  let sets = List.map (fun s -> lookup_set st loc s) set_names in
-  let amb_dims, amb_axes =
-    match ambient with None -> ([], []) | Some sp -> (sp.wdims, sp.waxes)
-  in
-  let covers = List.map (fun (_, v) -> cover_extent st v) sets in
-  let dims = amb_dims @ covers in
-  let axes = amb_axes @ sets in
-  (match ambient with
-  | Some _ when not st.act_all ->
-      record st
-        (Activity
-           {
-             trips = st.mult;
-             size = List.fold_left ( * ) 1 dims;
-             approx = st.approx_depth > 0;
-           })
-  | _ -> ());
-  let masked = ref false in
-  List.iter
-    (fun ((_, values), cover) ->
-      let full =
-        Array.length values = cover
-        && Array.for_all (fun i -> values.(i) = i) (Array.init cover Fun.id)
-      in
-      if not full then masked := true)
-    (List.combine sets covers);
-  let saved_env = st.env in
-  List.iteri
-    (fun k (elem, _) ->
-      st.env <- (elem, Xelem_axis (List.length amb_axes + k)) :: st.env)
-    sets;
-  clear_cse st;
-  let saved = (ambient, st.act_all, saved_env, st.mask_path) in
-  st.space <- Some { wdims = dims; waxes = axes };
-  st.act_all <-
-    (match ambient with None -> true | Some _ -> st.act_all) && not !masked;
-  st.mask_path <- [];
-  saved
-
-let leave_space st (ambient, act_all, saved_env, saved_mask_path) =
-  clear_cse st;
-  st.space <- ambient;
-  st.act_all <- act_all;
-  st.env <- saved_env;
-  st.mask_path <- saved_mask_path
-
-(* ---------------- expressions ---------------- *)
-
-let rec eval_par st e =
-  let sp = Option.get st.space in
-  if (not st.opts.Codegen.cse) || (not (cse_worthwhile e)) || contains_rand e
-  then eval_par_raw st e
-  else begin
-    let hit =
-      List.exists
-        (fun (e', dims, path) ->
-          dims = sp.wdims && is_prefix path st.mask_path && expr_equal e' e)
-        st.cse
-    in
-    if not hit then begin
-      eval_par_raw st e;
-      (* every cacheable parallel result is a field in this mirror *)
-      st.cse <- (e, sp.wdims, st.mask_path) :: st.cse
-    end
-  end
-
-and eval_par_raw st e =
-  match e.e with
-  | Eint _ | Efloat _ | Einf -> ()
-  | Estr _ -> Loc.error e.eloc "string literal outside print"
-  | Evar _ -> ()
-  | Eindex (base, subs) -> gen_read st e.eloc base subs
-  | Ebin (Land, a, b) when not (safe_expr st b) ->
-      eval_par st a;
-      under_mask st (fun () -> eval_par st b)
-  | Ebin (Lor, a, b) when not (safe_expr st b) ->
-      eval_par st a;
-      under_mask st (fun () -> eval_par st b)
-  | Ebin (_, a, b) ->
-      eval_par st a;
-      eval_par st b
-  | Eun (_, a) -> eval_par st a
-  | Econd (c, a, b) ->
-      eval_par st c;
-      if safe_expr st a && safe_expr st b then begin
-        eval_par st a;
-        eval_par st b
-      end
-      else begin
-        under_mask st (fun () -> eval_par st a);
-        under_mask st (fun () -> eval_par st b)
-      end
-  | Ecall (_, args) -> List.iter (eval_par st) args
-  | Ereduce r -> gen_reduce st e.eloc r
-
-and gen_read st loc base subs =
-  let name =
-    match base.e with
-    | Evar v -> v
-    | _ -> Loc.error base.eloc "only named arrays can be indexed"
-  in
-  let _, a, plan = walk_plan st loc name subs in
-  (* General accesses evaluate their subscripts (and cache the pure
-     ones); aligned and NEWS accesses touch nothing *)
-  (match plan with
-  | Router -> List.iter (eval_par st) subs
-  | Local | News _ -> ());
-  record st (Access a)
-
-and gen_reduce st loc r =
-  let saved = enter_space st loc r.rsets in
-  List.iter
-    (fun (pred, expr) ->
-      match pred with
-      | Some p ->
-          eval_par st p;
-          under_mask st (fun () -> eval_par st expr)
-      | None -> eval_par st expr)
-    r.rbranches;
-  (match r.rothers with
-  | Some expr -> under_mask st (fun () -> eval_par st expr)
-  | None -> ());
-  leave_space st saved
-
-(* ---------------- targets ---------------- *)
-
-and gen_target st loc lhs =
-  match lhs.e with
-  | Evar v -> (
-      match lookup st loc v with
-      | Xparlocal -> `Parlocal
-      | _ -> Loc.error loc "%s is not assignable in a parallel construct" v)
-  | Eindex (base, subs) -> (
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> Loc.error base.eloc "only named arrays can be indexed"
-      in
-      let _, a, plan = walk_plan st loc name subs in
-      let a = { a with arw = `Write } in
-      match plan with
-      | Local -> `Target a
-      | News _ | Router ->
-          (* remote target: the address is computed up front *)
-          List.iter (eval_par st) subs;
-          `Target a)
-  | _ -> Loc.error loc "invalid assignment target"
-
-and target_read st target =
-  match target with
-  | `Parlocal -> ()
-  | `Target a -> record st (Access { a with arw = `Read })
-
-and target_write st target =
-  clear_cse st;
-  match target with
-  | `Parlocal -> ()
-  | `Target a -> record st (Access a)
-
-(* ---------------- histogram (processor optimization) ---------------- *)
-
-and try_histogram st loc lhs rhs =
-  if not st.opts.Codegen.procopt then false
-  else
-    match st.space, lhs.e, rhs.e with
-    | ( Some sp,
-        Eindex (base, [ { e = Evar jvar; _ } ]),
-        Ereduce
-          {
-            rop = Rsum;
-            rsets = [ iset ];
-            rbranches = [ (Some pred, contrib) ];
-            rothers = None;
-          } )
-      when st.act_all && List.length sp.wdims = 1 -> (
-        let jelem_ok =
-          match List.assoc_opt jvar st.env with
-          | Some (Xelem_axis 0) ->
-              let _, values = List.nth sp.waxes 0 in
-              Array.for_all
-                (fun k -> values.(k) = k)
-                (Array.init (Array.length values) Fun.id)
-          | _ -> false
-        in
-        let cname = match base.e with Evar v -> Some v | _ -> None in
-        match jelem_ok, cname, pred.e with
-        | true, Some cname, Ebin (Eq, a, b) -> (
-            let cdims, clayout = array_info st base.eloc cname in
-            let key =
-              match a.e, b.e with
-              | _, Evar v when v = jvar -> Some a
-              | Evar v, _ when v = jvar -> Some b
-              | _ -> None
-            in
-            match key, clayout, cdims with
-            | Some key, Mapping.Default, [ _extent ] ->
-                let rec free_elems acc e =
-                  match e.e with
-                  | Evar v -> v :: acc
-                  | Eindex (b, subs) ->
-                      List.fold_left free_elems (free_elems acc b) subs
-                  | Ebin (_, a, b) -> free_elems (free_elems acc a) b
-                  | Eun (_, a) -> free_elems acc a
-                  | Econd (c, a, b) ->
-                      free_elems (free_elems (free_elems acc c) a) b
-                  | Ecall (_, args) -> List.fold_left free_elems acc args
-                  | Ereduce r ->
-                      let acc =
-                        List.fold_left
-                          (fun acc (p, ex) ->
-                            let acc =
-                              match p with
-                              | Some p -> free_elems acc p
-                              | None -> acc
-                            in
-                            free_elems acc ex)
-                          acc r.rbranches
-                      in
-                      (match r.rothers with
-                      | Some ex -> free_elems acc ex
-                      | None -> acc)
-                  | Eint _ | Efloat _ | Estr _ | Einf -> acc
-                in
-                let mentions_j e = List.mem jvar (free_elems [] e) in
-                if mentions_j key || mentions_j contrib then false
-                else begin
-                  (* the histogram runs on the I space alone *)
-                  let ambient_space = st.space in
-                  st.space <- None;
-                  let saved = enter_space st loc [ iset ] in
-                  let isize =
-                    match st.space with
-                    | Some sp -> List.fold_left ( * ) 1 sp.wdims
-                    | None -> 1
-                  in
-                  eval_par st key;
-                  under_mask st (fun () -> eval_par st contrib);
-                  record st
-                    (Hist_send
-                       {
-                         count = cname;
-                         trips = st.mult;
-                         isize;
-                         approx = st.approx_depth > 0;
-                       });
-                  clear_cse st;
-                  leave_space st saved;
-                  st.space <- ambient_space;
-                  true
-                end
-            | _ -> false)
-        | _ -> false)
-    | _ -> false
-
-(* ---------------- parallel statements ---------------- *)
-
-and stmt_par st s =
+(* a statement, or one nested in it, satisfies [p]; parallel bodies
+   hold no front-end control flow, so they are not entered *)
+let rec exists_stmt p s =
+  p s
+  ||
   match s.s with
-  | Sempty -> ()
-  | Sassign (op, lhs, rhs) -> assign_par st s.sloc op lhs rhs
-  | Sexpr { e = Ecall ("swap", [ la; lb ]); eloc } ->
-      let ta = gen_target st eloc la in
-      let tb = gen_target st eloc lb in
-      target_read st ta;
-      target_read st tb;
-      target_write st ta;
-      target_write st tb
-  | Sexpr e -> eval_par st e
-  | Sblock b -> block_par st b
-  | Sif (c, then_, else_) ->
-      eval_par st c;
-      under_mask st (fun () -> stmt_par st then_);
-      (match else_ with
-      | Some s -> under_mask st (fun () -> stmt_par st s)
-      | None -> ())
-  | Swhile (c, body) ->
-      let saved_all = st.act_all in
-      st.act_all <- false;
-      clear_cse st;
-      with_approx st dynamic_trips (fun () ->
-          eval_par st c;
-          stmt_par st body);
-      st.act_all <- saved_all
-  | Spar ps -> gen_par st s.sloc ps
-  | Sseq ps -> gen_seq st s.sloc ps
-  | Soneof ps -> gen_oneof st s.sloc ps
-  | Ssolve _ -> Loc.error s.sloc "solve survived transformation"
-  | Sfor _ ->
-      Loc.error s.sloc "for loops are not supported inside parallel constructs"
-  | Sreturn _ -> Loc.error s.sloc "return inside a parallel construct"
-  | Sbreak | Scontinue ->
-      Loc.error s.sloc "break/continue inside a parallel construct"
+  | Sblock b -> List.exists (exists_stmt p) b.bstmts
+  | Sif (_, t, e) -> exists_stmt p t || Option.fold ~none:false ~some:(exists_stmt p) e
+  | Swhile (_, b) -> exists_stmt p b
+  | Sfor (i, _, stp, b) ->
+      List.exists (exists_stmt p) (Option.to_list i @ Option.to_list stp @ [ b ])
+  | Sseq ps -> List.exists (fun (_, b) -> exists_stmt p b) ps.pbranches
+  | _ -> false
 
-and assign_par st loc op lhs rhs =
-  if op = Aset && try_histogram st loc lhs rhs then ()
-  else begin
-    let target = gen_target st loc lhs in
-    match op with
-    | Aset ->
-        eval_par st rhs;
-        target_write st target
-    | _ ->
-        target_read st target;
-        eval_par st rhs;
-        target_write st target
-  end
+(* the statement can leave an enclosing loop, or the program, early *)
+let escapes =
+  exists_stmt (fun s ->
+      match s.s with Sbreak | Scontinue | Sreturn _ -> true | _ -> false)
 
-and block_par st b =
-  let saved_env = st.env in
-  List.iter
-    (fun d ->
-      match d with
-      | Dvar (_, ds) ->
-          List.iter
-            (fun dd ->
-              if dd.ddims <> [] then
-                Loc.error dd.dloc
-                  "arrays may not be declared inside parallel constructs";
-              clear_cse st;
-              st.env <- (dd.dname, Xparlocal) :: st.env)
-            ds
-      | Dindexset defs ->
-          List.iter
-            (fun def ->
-              let values = resolve_set_values st def in
-              st.env <- (def.set_name, Xset (def.elem_name, values)) :: st.env)
-            defs)
-    b.bdecls;
-  List.iter
-    (fun d ->
-      match d with
-      | Dvar (_, ds) ->
-          List.iter
-            (fun dd ->
-              match dd.dinit with
-              | Some init ->
-                  assign_par st dd.dloc Aset
-                    { e = Evar dd.dname; eloc = dd.dloc }
-                    init
-              | None -> ())
-            ds
-      | Dindexset _ -> ())
-    b.bdecls;
-  List.iter (stmt_par st) b.bstmts;
-  st.env <- saved_env
-
-and resolve_set_values st def =
-  match def.ispec with
-  | Irange (lo, hi) ->
-      let lo = Sema.const_eval lo and hi = Sema.const_eval hi in
-      Array.init (hi - lo + 1) (fun k -> lo + k)
-  | Ilist es -> Array.of_list (List.map Sema.const_eval es)
-  | Ialias other ->
-      let _, values = lookup_set st def.iloc other in
-      values
-
-(* ---------------- par / oneof / seq ---------------- *)
-
-and gen_par st loc ps =
-  let saved = enter_space st loc ps.psets in
-  let round () =
-    List.iter
-      (fun (pred, body) ->
-        match pred with
-        | Some p ->
-            eval_par st p;
-            under_mask st (fun () -> stmt_par st body)
-        | None -> stmt_par st body)
-      ps.pbranches;
-    match ps.pothers with
-    | Some body -> under_mask st (fun () -> stmt_par st body)
-    | None -> ()
-  in
-  if ps.iterate then begin
-    clear_cse st;
-    with_approx st dynamic_trips round
-  end
-  else round ();
-  leave_space st saved
-
-and gen_oneof st loc ps =
-  if ps.pothers <> None then
-    Loc.error loc "others is not supported on oneof statements";
-  let saved = enter_space st loc ps.psets in
-  clear_cse st;
-  let round () =
-    (* every predicate is evaluated; each body runs only when some
-       element enables it, so bodies are approximate even without *)
-    List.iter
-      (fun (pred, _) -> match pred with Some p -> eval_par st p | None -> ())
-      ps.pbranches;
-    List.iter
-      (fun (_, body) ->
-        with_approx st 1 (fun () ->
-            under_mask st (fun () -> stmt_par st body)))
-      ps.pbranches
-  in
-  if ps.iterate then with_approx st dynamic_trips round else round ();
-  leave_space st saved
-
-and gen_seq st loc ps =
-  if ps.pothers <> None then
-    Loc.error loc "others is not meaningful on seq statements";
-  let sets = List.map (fun s -> lookup_set st loc s) ps.psets in
-  let fe_context = st.space = None in
-  clear_cse st;
-  let body_once () =
-    (* bind every element to a register (representative: first value),
-       then walk the nest body once; execution count is the product of
-       the set sizes regardless of how Codegen unrolls *)
-    let saved_env = st.env in
-    List.iter
-      (fun (elem, values) ->
-        let rep = if Array.length values > 0 then values.(0) else 0 in
-        st.env <- (elem, Xelem_reg rep) :: st.env)
-      sets;
-    let n = List.fold_left (fun acc (_, v) -> acc * Array.length v) 1 sets in
-    let saved_mult = st.mult in
-    st.mult <- st.mult * max 1 n;
-    clear_cse st;
-    List.iter
-      (fun (pred, body) ->
-        if fe_context then begin
-          (match pred with Some p -> eval_fe st p | None -> ());
-          match pred with
-          | Some _ ->
-              (* front-end skip: the body runs only where the guard
-                 holds for that combination *)
-              with_approx st 1 (fun () -> stmt_fe st body)
-          | None -> stmt_fe st body
-        end
-        else
-          match pred with
-          | Some p ->
-              eval_par st p;
-              under_mask st (fun () -> stmt_par st body)
-          | None -> stmt_par st body)
-      ps.pbranches;
-    st.mult <- saved_mult;
-    st.env <- saved_env
-  in
-  if ps.iterate then with_approx st dynamic_trips body_once else body_once ()
-
-(* ---------------- front-end ---------------- *)
-
-and eval_fe st e =
-  match e.e with
-  | Eint _ | Efloat _ | Einf -> ()
-  | Estr _ -> Loc.error e.eloc "string literal outside print"
-  | Evar _ -> ()
-  | Eindex (base, subs) ->
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> Loc.error base.eloc "only named arrays can be indexed"
-      in
-      List.iter (eval_fe st) subs;
-      record st (Fe_access { fename = name; ferw = `Read; fetrips = st.mult })
-  | Ebin ((Land | Lor), a, b) ->
-      eval_fe st a;
-      (* short-circuit: b may not run *)
-      with_approx st 1 (fun () -> eval_fe st b)
-  | Ebin (_, a, b) ->
-      eval_fe st a;
-      eval_fe st b
-  | Eun (_, a) -> eval_fe st a
-  | Econd (c, a, b) ->
-      eval_fe st c;
-      with_approx st 1 (fun () -> eval_fe st a);
-      with_approx st 1 (fun () -> eval_fe st b)
-  | Ecall (_, args) -> List.iter (eval_fe st) args
-  | Ereduce r -> gen_reduce st e.eloc r
-
-and assign_fe_value st loc lhs =
-  clear_cse st;
-  match lhs.e with
-  | Evar _ -> ()
-  | Eindex (base, subs) ->
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> Loc.error base.eloc "only named arrays can be indexed"
-      in
-      List.iter (eval_fe st) subs;
-      record st (Fe_access { fename = name; ferw = `Write; fetrips = st.mult })
-  | _ -> Loc.error loc "invalid assignment target"
-
-and assign_fe st loc op lhs rhs =
-  (match op with
-  | Aset -> eval_fe st rhs
-  | _ ->
-      eval_fe st lhs;
-      eval_fe st rhs);
-  assign_fe_value st loc lhs
-
-(* static trip count of a canonical counted for-loop *)
-and for_trips st init cond step body =
+(* static trip count of a canonical counted for-loop: constant start,
+   bound and step, and a body that neither assigns the variable nor
+   escapes the loop *)
+let for_trips init cond step body =
   let var_and_const = function
     | Some { s = Sassign (Aset, { e = Evar v; _ }, rhs); _ } ->
         Option.map (fun c -> (v, c)) (const_of rhs)
     | _ -> None
   in
-  let rec assigns_var v s =
-    match s.s with
-    | Sassign (_, { e = Evar v'; _ }, _) -> v = v'
-    | Sblock b -> List.exists (assigns_var v) b.bstmts
-    | Sif (_, t, e) ->
-        assigns_var v t
-        || (match e with Some e -> assigns_var v e | None -> false)
-    | Swhile (_, b) -> assigns_var v b
-    | Sfor (i, _, stp, b) ->
-        (match i with Some i -> assigns_var v i | None -> false)
-        || (match stp with Some s -> assigns_var v s | None -> false)
-        || assigns_var v b
-    | Sbreak | Scontinue | Sreturn _ -> true (* escapes break the count *)
-    | _ -> false
+  let assigns_var v =
+    exists_stmt (fun s ->
+        match s.s with
+        | Sassign (_, { e = Evar v'; _ }, _) -> v = v'
+        | Sexpr { e = Ecall ("swap", args); _ } ->
+            List.exists (fun a -> a.e = Evar v) args
+        | _ -> false)
   in
-  ignore st;
   match var_and_const init, cond with
   | Some (v, c0), Some { e = Ebin (cmp, { e = Evar v'; _ }, bound); _ }
     when v = v' -> (
@@ -1061,197 +272,17 @@ and for_trips st init cond step body =
             } )
         when v = v'' && v = v''' -> (
           match const_of stepc with
-          | Some sc when sc > 0 && not (assigns_var v body) ->
+          | Some sc when sc > 0 && not (assigns_var v body || escapes body) -> (
               let sc = if sop = Sub then -sc else sc in
-              let count =
-                match cmp, compare sc 0 with
-                | Lt, 1 -> Some (max 0 ((c1 - c0 + sc - 1) / sc))
-                | Le, 1 -> Some (max 0 ((c1 - c0 + sc) / sc))
-                | Gt, -1 -> Some (max 0 ((c0 - c1 - sc - 1) / -sc))
-                | Ge, -1 -> Some (max 0 ((c0 - c1 - sc) / -sc))
-                | _ -> None
-              in
-              count
+              match cmp, compare sc 0 with
+              | Lt, 1 -> Some (max 0 ((c1 - c0 + sc - 1) / sc))
+              | Le, 1 -> Some (max 0 ((c1 - c0 + sc) / sc))
+              | Gt, -1 -> Some (max 0 ((c0 - c1 - sc - 1) / -sc))
+              | Ge, -1 -> Some (max 0 ((c0 - c1 - sc) / -sc))
+              | _ -> None)
           | _ -> None)
       | _ -> None)
   | _ -> None
-
-and stmt_fe st s =
-  match s.s with
-  | Sempty -> ()
-  | Sassign (op, lhs, rhs) -> assign_fe st s.sloc op lhs rhs
-  | Sexpr { e = Ecall ("print", args); _ } ->
-      List.iter
-        (fun a -> match a.e with Estr _ -> () | _ -> eval_fe st a)
-        args
-  | Sexpr { e = Ecall ("swap", [ la; lb ]); eloc } ->
-      eval_fe st la;
-      eval_fe st lb;
-      assign_fe_value st eloc la;
-      assign_fe_value st eloc lb
-  | Sexpr e -> eval_fe st e
-  | Sif (c, then_, else_) -> (
-      eval_fe st c;
-      (* a constant condition selects its branch statically *)
-      match const_of c with
-      | Some v ->
-          if v <> 0 then stmt_fe st then_
-          else ( match else_ with Some e -> stmt_fe st e | None -> ())
-      | None ->
-          with_approx st 1 (fun () -> stmt_fe st then_);
-          (match else_ with
-          | Some e -> with_approx st 1 (fun () -> stmt_fe st e)
-          | None -> ()))
-  | Swhile (c, body) ->
-      with_approx st dynamic_trips (fun () ->
-          eval_fe st c;
-          stmt_fe st body)
-  | Sfor (init, cond, step, body) -> (
-      (match init with Some i -> stmt_fe st i | None -> ());
-      match for_trips st init cond step body with
-      | Some trips ->
-          (* cond runs trips+1 times, body and step trips times; the
-             canonical form has an event-free condition, so walking it
-             at the body multiplier loses nothing *)
-          let saved = st.mult in
-          st.mult <- st.mult * trips;
-          if trips > 0 then begin
-            (match cond with Some c -> eval_fe st c | None -> ());
-            stmt_fe st body;
-            match step with Some stp -> stmt_fe st stp | None -> ()
-          end;
-          st.mult <- saved
-      | None ->
-          with_approx st dynamic_trips (fun () ->
-              (match cond with Some c -> eval_fe st c | None -> ());
-              stmt_fe st body;
-              match step with Some stp -> stmt_fe st stp | None -> ()))
-  | Sblock b -> block_fe st b
-  | Sreturn _ -> raise Returned
-  | Sbreak | Scontinue ->
-      (* only reachable inside dynamic loops, which are approximate
-         already *)
-      ()
-  | Spar ps -> gen_par st s.sloc ps
-  | Sseq ps -> gen_seq st s.sloc ps
-  | Soneof ps -> gen_oneof st s.sloc ps
-  | Ssolve _ -> Loc.error s.sloc "solve survived transformation"
-
-and block_fe st b =
-  let saved_env = st.env in
-  List.iter (declare_fe st) b.bdecls;
-  List.iter (stmt_fe st) b.bstmts;
-  st.env <- saved_env
-
-and declare_fe st d =
-  match d with
-  | Dvar (ty, ds) ->
-      ignore ty;
-      List.iter
-        (fun dd ->
-          if dd.ddims = [] then begin
-            st.env <- (dd.dname, Xscalar) :: st.env;
-            match dd.dinit with
-            | Some init ->
-                assign_fe st dd.dloc Aset
-                  { e = Evar dd.dname; eloc = dd.dloc }
-                  init
-            | None -> ()
-          end
-          else begin
-            let dims = List.map Sema.const_eval dd.ddims in
-            st.known_extents <- dims @ st.known_extents;
-            let layout =
-              if st.opts.Codegen.use_mappings then Mapping.find st.layouts dd.dname
-              else Mapping.Default
-            in
-            st.env <- (dd.dname, Xarray { xdims = dims; xlayout = layout }) :: st.env
-          end)
-        ds
-  | Dindexset defs ->
-      List.iter
-        (fun def ->
-          let values = resolve_set_values st def in
-          st.env <- (def.set_name, Xset (def.elem_name, values)) :: st.env)
-        defs
-
-(* ---------------- entry point ---------------- *)
-
-(* [analyze prog] expects a transformed, constant-folded program (the
-   exact input Codegen.compile takes).  [layouts] defaults to the
-   program's own map sections, like the lowering seam. *)
-let analyze ?(options = Codegen.default_options) ?layouts prog : summary =
-  let layouts =
-    match layouts with
-    | Some t -> List.map (fun (n, l) -> (n, Mapping.normalize l)) t
-    | None -> if options.Codegen.use_mappings then Mapping.of_program prog else []
-  in
-  let st =
-    {
-      opts = options;
-      layouts;
-      env = [];
-      space = None;
-      act_all = true;
-      known_extents = [];
-      cse = [];
-      mask_path = [];
-      next_mask = 0;
-      mult = 1;
-      approx_depth = 0;
-      had_dynamic = false;
-      events = [];
-    }
-  in
-  let main = ref None in
-  List.iter
-    (fun top ->
-      match top with
-      | Tdecl d -> declare_fe st d
-      | Tmap _ -> ()
-      | Tfunc f ->
-          if f.fname = "main" then main := Some f
-          else Loc.error f.floc "function %s survived inlining" f.fname)
-    prog;
-  (match !main with
-  | Some f -> ( try block_fe st f.fbody with Returned -> ())
-  | None -> Loc.error Loc.dummy "program has no main function");
-  let arrays =
-    List.rev
-      (List.filter_map
-         (function name, Xarray x -> Some (name, x.xdims) | _ -> None)
-         st.env)
-  in
-  let sets =
-    List.rev
-      (List.filter_map
-         (function name, Xset (_, values) -> Some (name, values) | _ -> None)
-         st.env)
-  in
-  {
-    events = List.rev st.events;
-    arrays;
-    sets;
-    options;
-    base_layouts = layouts;
-    had_dynamic = st.had_dynamic;
-  }
-
-(* parse -> check -> transform -> fold -> analyze, one call for tools *)
-let analyze_source ?options ?layouts src =
-  let prog = Parser.parse_program src in
-  ignore (Sema.check prog);
-  let layouts =
-    (* resolve the default against the raw program: map sections are
-       dropped neither by Transform nor Optimize, but being explicit
-       keeps the seam identical to Compile.lower *)
-    match layouts with
-    | Some t -> Some t
-    | None -> None
-  in
-  let prog = Transform.apply prog in
-  let prog = Optimize.fold_program prog in
-  analyze ?options ?layouts prog
 
 (* ---------------- pretty ---------------- *)
 

@@ -1,18 +1,20 @@
-(** Static communication-pattern analysis (paper section 4's cost
-    reasoning, made a compiler stage).
+(** Communication events and their re-classification (paper section
+    4's cost reasoning, made a compiler stage).
 
-    Walks a transformed, constant-folded program in exactly the order
-    {!Codegen} emits instructions and records one {!event} per
-    communication-relevant operation — array accesses with their affine
+    The compiler records one {!event} per communication-relevant
+    operation while it lowers a program — array accesses with their affine
     subscript structure, space-entry activity expansions, histogram
     combining sends, front-end element transfers — together with static
-    trip counts.  Each access keeps enough structure to be re-classified
-    under {b any} candidate layout, which lets {!Layoutsel} score
-    layouts without lowering or running anything.
+    trip counts, and returns them as a {!summary}.  Each access keeps
+    enough structure to be re-classified under {b any} candidate layout,
+    which lets {!Layoutsel} score layouts from one lowering without
+    running anything.  {!classify} is the decision the lowering's own
+    access planner takes.
 
     Trip counts are exact for counted [for] loops and [seq] nests;
     data-dependent iteration ([*par], [*oneof], [*seq], SIMD [while],
-    front-end [while], non-constant [if]) is estimated and flagged. *)
+    front-end [while], non-constant [if]) and code after a [return] that
+    may run are estimated and flagged. *)
 
 (** The classification lattice: [Local] < [News _] < [Router]. *)
 type pat =
@@ -52,18 +54,17 @@ type event =
 type summary = {
   events : event list;                 (** in emission order *)
   arrays : (string * int list) list;   (** global arrays and their dims *)
-  sets : (string * int array) list;    (** global index sets' values *)
-  options : Codegen.options;
-  base_layouts : Mapping.table;        (** table the walk ran under *)
-  had_dynamic : bool;                  (** some trip count was estimated *)
+  news_opt : bool;                     (** the lowering's NEWS flag *)
+  base_layouts : Mapping.table;        (** table the events were recorded under *)
 }
 
 (** Assumed iteration count for data-dependent loops. *)
 val dynamic_trips : int
 
-(** Re-classify a {b read} access under a candidate layout; mirrors
-    Codegen's access planner (NEWS needs the plain layout, a single
-    unit-or-double offset and [news_opt]). *)
+(** Classify a {b read} access under a layout: the plan the lowering
+    takes, and the tuner's re-classification under a candidate (NEWS
+    needs the plain layout, a single unit-or-double offset and
+    [news_opt]). *)
 val classify : news_opt:bool -> access -> Mapping.layout -> pat
 
 (** Writes never use NEWS: [Local] exactly when fully aligned,
@@ -91,16 +92,14 @@ val predict : summary -> Mapping.table -> prediction
     values). *)
 val estimate_fanin : access -> Mapping.layout -> int * int
 
-(** Analyze a transformed, constant-folded program (the exact input
-    {!Codegen.compile} takes).  [layouts] defaults through the same
-    seam as lowering: the program's own map sections when
-    [use_mappings], the default layout otherwise.
-    @raise Loc.Error on programs Codegen would reject. *)
-val analyze :
-  ?options:Codegen.options -> ?layouts:Mapping.table -> Ast.program -> summary
+(** The statement, or a front-end statement nested in it, is a
+    [break], [continue] or [return]: it can end an enclosing loop early. *)
+val escapes : Ast.stmt -> bool
 
-(** Parse, check, transform, fold, then {!analyze}. *)
-val analyze_source :
-  ?options:Codegen.options -> ?layouts:Mapping.table -> string -> summary
+(** Static trip count of a counted front-end [for (init; cond; step)
+    body]: constant start, bound and step, and a body that neither
+    assigns the loop variable nor escapes the loop; [None] otherwise. *)
+val for_trips :
+  Ast.stmt option -> Ast.expr option -> Ast.stmt option -> Ast.stmt -> int option
 
 val pat_to_string : pat -> string

@@ -4,10 +4,11 @@ open Commpat
 
    Enumerates candidate layouts per array and scores each one
    *statically* against the calibrated cost model: every communication
-   event recorded by Commpat is re-classified under the candidate and
-   charged to a fresh Cm.Cost meter exactly the way the machine would
-   charge the corresponding Paris instruction.  No program is lowered
-   or run.
+   event Codegen recorded while lowering the program once, under the
+   all-default table, is re-classified under the candidate
+   (Commpat.classify) and charged to a fresh Cm.Cost meter exactly the
+   way the machine would charge the corresponding Paris instruction.
+   Nothing is run, and no candidate is lowered.
 
    The per-array search is independent because the objective is
    separable: an event's cost depends only on the layout of the array
@@ -52,7 +53,7 @@ let charge_n f n = for _ = 1 to n do f () done
 
 (* charge one event under [table] to [m]; mirrors Machine.exec_pget /
    exec_psend / exec_pnews charging *)
-let charge_event params m ~news_opt table ev =
+let charge_event m ~news_opt table ev =
   match ev with
   | Access a -> (
       let layout = Mapping.find table a.aname in
@@ -94,14 +95,12 @@ let charge_event params m ~news_opt table ev =
       let copies =
         match ferw, layout with `Write, Mapping.Copied c -> c | _ -> 1
       in
-      ignore params;
       charge_n (fun () -> Cm.Cost.charge_fe_cm m) (fetrips * copies)
 
 (* predicted communication cost (simulated ns) of [events] under [table] *)
 let score ?(params = Cm.Cost.cm2_16k) summary table events =
   let m = Cm.Cost.meter params in
-  let news_opt = summary.options.Codegen.news_opt in
-  List.iter (charge_event params m ~news_opt table) events;
+  List.iter (charge_event m ~news_opt:summary.news_opt table) events;
   m.Cm.Cost.elapsed_ns
 
 (* ---------------- candidate enumeration ---------------- *)
@@ -244,10 +243,15 @@ let search_summary ?(params = Cm.Cost.cm2_16k) (summary : Commpat.summary) :
     default_ns = score ~params summary [] summary.events;
   }
 
-(* The walk runs under the all-default table: `ucc tune` synthesizes a
-   map section from scratch, ignoring any the program already has. *)
+(* One lowering under the all-default table: `ucc tune` synthesizes a
+   map section from scratch, ignoring any the program already has.  The
+   events are recorded before the IR optimizer would run, so it is off. *)
+let untuned options = { options with Codegen.ir_opt = Cm.Iropt.off }
+
 let search ?(options = Codegen.default_options) ?params prog =
-  search_summary ?params (Commpat.analyze ~options ~layouts:[] prog)
+  let c = Codegen.compile ~layouts:[] ~options:(untuned options) prog in
+  search_summary ?params c.Codegen.summary
 
 let search_source ?(options = Codegen.default_options) ?params src =
-  search_summary ?params (Commpat.analyze_source ~options ~layouts:[] src)
+  let c = Compile.compile_source ~layouts:[] ~options:(untuned options) src in
+  search_summary ?params c.Codegen.summary

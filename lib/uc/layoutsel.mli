@@ -3,10 +3,11 @@
     Enumerates candidate layouts per array (default, permutes derived
     from observed access offsets, fold, replication for high-fan-in
     gathers) and scores each candidate {b statically}: the
-    communication events recorded by {!Commpat} are re-classified under
-    the candidate and charged to a fresh {!Cm.Cost} meter the way the
-    machine would charge the real instructions.  Nothing is lowered or
-    run.
+    communication events {!Codegen.compile} recorded while lowering the
+    program once, under the all-default table, are re-classified under
+    the candidate ({!Commpat.classify}) and charged to a fresh
+    {!Cm.Cost} meter the way the machine would charge the real
+    instructions.  The program is lowered once and never run.
 
     The objective is separable (an event's cost depends only on its own
     array's layout), so the table argmin decomposes per array.  Default
@@ -41,12 +42,12 @@ val score :
   Commpat.event list ->
   float
 
-(** Search over an analysis summary (must have been produced under the
+(** Search over a recorded summary (must have been recorded under the
     all-default table). *)
 val search_summary : ?params:Cm.Cost.params -> Commpat.summary -> result
 
-(** Analyze a transformed, folded program under the all-default table
-    (existing map sections are ignored) and search. *)
+(** Lower a transformed, folded program once under the all-default
+    table (existing map sections are ignored) and search its summary. *)
 val search :
   ?options:Codegen.options -> ?params:Cm.Cost.params -> Ast.program -> result
 

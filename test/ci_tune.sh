@@ -8,7 +8,9 @@
 #   2. `ucc tune --apply` must rewrite each program into a source that
 #      still compiles, and a second --apply must be a no-op
 #      (idempotence: the synthesized section round-trips through the
-#      parser and the layout stage).
+#      parser and the layout stage).  Where the chosen table's
+#      prediction claims to be exact, the tuned program's metered
+#      router and NEWS operation counts must equal it.
 #   3. A tuned batch sweep (`tune` manifest flag) must be observably
 #      bit-identical to the untuned sweep: same status and same printed
 #      output per job, with every tuned row stamped "tuned":true and
@@ -25,6 +27,7 @@ mapfile -t NAMES < <($UCC examples)
 test "${#NAMES[@]}" -gt 0
 
 # ---- 1 + 2: per-program tune, cost sanity, apply idempotence ----
+n_exact=0
 for name in "${NAMES[@]}"; do
   src="$WORK/$name.uc"
   $UCC show "$name" >"$src"
@@ -39,7 +42,16 @@ for name in "${NAMES[@]}"; do
 
   $UCC tune --apply "$src" >/dev/null
   # the rewritten source must still compile and run
-  $UCC run "$src" >/dev/null
+  $UCC run --metrics "$src" >/dev/null 2>"$WORK/$name.metrics"
+  chosen_ops=$(sed -n 's/.*"chosen_ops":{\([^}]*\)}.*/\1/p' "$WORK/$name.json")
+  if [[ "$chosen_ops" == *'"exact":true'* ]]; then
+    want=$(echo "$chosen_ops" | sed 's/"router":\([0-9]*\),"news":\([0-9]*\).*/\1 \2/')
+    got=$(awk '$1 == "cm.router_ops" { r = $2 } $1 == "cm.news_ops" { n = $2 }
+               END { print r, n }' "$WORK/$name.metrics")
+    test "$want" = "$got" \
+      || { echo "ci-tune: $name: predicted exact router/news $want, metered $got" >&2; exit 1; }
+    n_exact=$((n_exact + 1))
+  fi
   # and a second apply must change nothing
   $UCC tune --apply "$src" | grep -q 'already up to date' \
     || { echo "ci-tune: $name: --apply is not idempotent" >&2; exit 1; }
@@ -67,4 +79,4 @@ n_stamped=$(grep '"job":' "$WORK/tuned.jsonl" | grep -c '"tuned":true')
 test "$n_jobs" -eq "$n_stamped"
 ! grep '"job":' "$WORK/plain.jsonl" | grep -q '"tuned"'
 
-echo "ci-tune: ${#NAMES[@]} programs tuned; sections round-trip, --apply idempotent, tuned sweep observably identical ($n_stamped/$n_jobs rows stamped)"
+echo "ci-tune: ${#NAMES[@]} programs tuned; sections round-trip, --apply idempotent, $n_exact exact predictions metered, tuned sweep observably identical ($n_stamped/$n_jobs rows stamped)"

@@ -1,6 +1,6 @@
-(* Tests for the layout stage: Commpat static prediction vs the real
-   machine's meter, Layoutsel search quality, and the tuned-layout
-   differential property. *)
+(* Tests for the layout stage: the static prediction from the events
+   Codegen records vs the real machine's meter, Layoutsel search
+   quality, and the tuned-layout differential property. *)
 
 let default_opts = Uc.Codegen.default_options
 
@@ -31,19 +31,39 @@ let static_programs =
 
 let src_of name = List.assoc name Uc_programs.Programs.all_named
 
+(* more sizes of the static generators: seq nests of 3 or fewer
+   elements are unrolled, longer ones loop, and the recording must
+   count both the same way *)
+let static_sized =
+  let module P = Uc_programs.Programs in
+  [
+    ("partial_sums_seq ~n:3", P.partial_sums_seq ~n:3);
+    ("partial_sums_seq ~n:8", P.partial_sums_seq ~n:8);
+    ("shortest_path_n3 ~n:3", P.shortest_path_n3 ~n:3 ());
+    ("shortest_path_n3 ~n:9", P.shortest_path_n3 ~n:9 ());
+    ("shortest_path_n2 ~n:3", P.shortest_path_n2 ~n:3 ());
+    ("shortest_path_n2 ~n:4", P.shortest_path_n2 ~n:4 ());
+    ("matmul ~n:3", P.matmul ~n:3);
+    ("wavefront ~n:4", P.wavefront ~n:4);
+    ("stencil ~n:8 ~steps:3", P.stencil ~n:8 ~steps:3 ());
+    ("copied_broadcast ~n:8", P.copied_broadcast ~n:8 ~copies:2 ());
+  ]
+
 let measure ?layouts ?(options = default_opts) src =
   let prog = Uc.Compile.parse_source src in
   let compiled = Uc.Compile.lower ?layouts ~options prog in
   let t = Uc.Compile.run_compiled ~seed:42 compiled in
   Uc.Compile.meter t
 
+(* the events recorded while lowering [src] under its own map sections *)
+let summary_of src = (Uc.Compile.compile_source src).Uc.Codegen.summary
+
 (* the static predictor's router/NEWS counts must match the machine's
    meter exactly on programs with static control flow *)
 let test_predict_exact () =
   List.iter
-    (fun name ->
-      let src = src_of name in
-      let summary = Uc.Commpat.analyze_source src in
+    (fun (name, src) ->
+      let summary = summary_of src in
       let p = Uc.Commpat.predict summary summary.base_layouts in
       let m = measure src in
       Alcotest.(check bool)
@@ -55,7 +75,51 @@ let test_predict_exact () =
       Alcotest.(check int)
         (name ^ " news ops")
         m.Cm.Cost.news_ops p.p_news_ops)
-    static_programs
+    (List.map (fun name -> (name, src_of name)) static_programs @ static_sized)
+
+(* a return that may run leaves everything after it estimated, not
+   dropped: the par after the guarded return still costs a router op *)
+let test_return_estimated () =
+  let src =
+    {|
+#define N 8
+index-set I:i = {0..N-1};
+int a[N], b[N], x;
+
+void main() {
+  par (I) b[i] = i;
+  x = b[3];
+  if (x == 0) return;
+  par (I) a[i] = b[(i * 7) % N];
+}
+|}
+  in
+  let p = Uc.Commpat.predict (summary_of src) [] in
+  let m = measure src in
+  Alcotest.(check int) "meter router ops" 1 m.Cm.Cost.router_ops;
+  Alcotest.(check int) "predicted router ops" m.Cm.Cost.router_ops
+    p.p_router_ops;
+  Alcotest.(check bool) "prediction is estimated" false p.p_exact;
+  (* a return in a seq nest may end it early, so its count is a bound *)
+  let src =
+    {|
+#define N 8
+index-set I:i = {0..N-1}, K:k = {0..5};
+int a[N], b[N];
+
+void main() {
+  par (I) b[i] = i;
+  seq (K) {
+    par (I) a[i] = b[(i * 3) % N];
+    if (k == 1) return;
+  }
+}
+|}
+  in
+  let p = Uc.Commpat.predict (summary_of src) [] in
+  Alcotest.(check int) "meter router ops in the seq" 2
+    (measure src).Cm.Cost.router_ops;
+  Alcotest.(check bool) "seq count is estimated" false p.p_exact
 
 (* ---------------- layout search quality ---------------- *)
 
@@ -245,6 +309,19 @@ let fuzz_layout_native =
     (fun (src, table) ->
       observable src = observable ~layouts:table ~engine:`Native src)
 
+(* Layoutsel scores candidates by re-classifying the events of one
+   default lowering: wherever that prediction claims to be exact under
+   a table, it must equal the meter of the lowering under that table *)
+let fuzz_reclassify =
+  qtest ~count:100 ~print:print_case
+    "fuzz: re-classified prediction matches the meter" case_gen
+    (fun (src, table) ->
+      let p = Uc.Commpat.predict (summary_of src) table in
+      (not p.p_exact)
+      ||
+      let m = measure ~layouts:table src in
+      m.Cm.Cost.router_ops = p.p_router_ops && m.Cm.Cost.news_ops = p.p_news_ops)
+
 (* the same property through the tuner itself: a tuned lowering of any
    generated program matches the default lowering bit for bit *)
 let fuzz_tuned_run =
@@ -258,7 +335,11 @@ let () =
   Alcotest.run "tune"
     [
       ( "commpat",
-        [ Alcotest.test_case "predict-exact" `Quick test_predict_exact ] );
+        [
+          Alcotest.test_case "predict-exact" `Quick test_predict_exact;
+          Alcotest.test_case "return leaves later counts estimated" `Quick
+            test_return_estimated;
+        ] );
       ( "layoutsel",
         [
           Alcotest.test_case "a1 selects hand-tuned layout" `Quick
@@ -270,5 +351,5 @@ let () =
         ] );
       ("job", [ Alcotest.test_case "tuned digest" `Quick test_tuned_digest ]);
       ( "differential",
-        [ fuzz_layout_fast; fuzz_layout_native; fuzz_tuned_run ] );
+        [ fuzz_layout_fast; fuzz_layout_native; fuzz_reclassify; fuzz_tuned_run ] );
     ]
